@@ -12,15 +12,14 @@
                                  (with propagation provenance)
      perfdiff <old> <new>        diff two BENCH_<rev>.json trajectories;
                                  exit 1 when a threshold is crossed
-     check   <bench|file.rgk> [target]  static SoR-invariant check + dynamic
-                                 sanitizer run (.rgk files: static only);
-                                 exit 1 on findings
-     lint    <bench|file.rgk> [target]  translation validation (simulation
-                                 relation under fault injection) + static
-                                 protection-domain report + cost prediction;
-                                 exit 1 on findings
-     exp     <name>              regenerate one table/figure (table1..fig9,
-                                 coverage, all)
+     lint    <bench|file.rgk> [target]  static SoR-contract check, sanitized
+                                 run (registry benchmarks), translation
+                                 validation (simulation relation under fault
+                                 injection) + protection-domain report + cost
+                                 prediction; exit 1 on findings
+     exp     <name>...           regenerate tables/figures (table1..fig9,
+                                 coverage, extensions, all) and write the
+                                 BENCH_<rev>.json perf trajectory
 
    Exit codes are uniform: 0 success, 1 findings/regressions in otherwise
    valid invocations, 2 usage errors (unknown subcommand, argument or
@@ -51,20 +50,24 @@ let variant_conv =
   let print fmt v = Format.pp_print_string fmt (T.name v) in
   Cmdliner.Arg.conv (parse, print)
 
+let find_bench s =
+  List.find_opt
+    (fun (b : Kernels.Bench.t) ->
+      String.lowercase_ascii b.id = String.lowercase_ascii s)
+    Kernels.Registry.all
+
+let bench_ids () =
+  String.concat ", "
+    (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all)
+
 let bench_conv =
   let parse s =
-    match
-      List.find_opt
-        (fun (b : Kernels.Bench.t) -> String.lowercase_ascii b.id = String.lowercase_ascii s)
-        Kernels.Registry.all
-    with
+    match find_bench s with
     | Some b -> Ok b
     | None ->
         Error
           (`Msg
-            (Printf.sprintf "unknown benchmark %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all))))
+            (Printf.sprintf "unknown benchmark %s (one of: %s)" s (bench_ids ())))
   in
   let print fmt (b : Kernels.Bench.t) = Format.pp_print_string fmt b.id in
   Cmdliner.Arg.conv (parse, print)
@@ -197,79 +200,24 @@ let do_perfdiff old_path new_path wall_tol counter_tol =
       Printf.eprintf "perfdiff: %s\n" msg;
       exit 2
 
-(* ---------------- check ---------------- *)
-
-let check_target_conv =
-  let parse s =
-    match Harness.Check.target_of_string s with
-    | Some t -> Ok (String.lowercase_ascii s, t)
-    | None ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown check target %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map fst Harness.Check.standard_targets))))
-  in
-  let print fmt (label, _) = Format.pp_print_string fmt label in
-  Cmdliner.Arg.conv (parse, print)
-
-(* The check subject is a registry benchmark id or a path to an .rgk
-   kernel file; files get the static contract check only (no argument
-   harness to run them under the sanitizer). *)
-let do_check subject target scale local json_out =
-  let targets =
-    match target with
-    | Some t -> [ t ]
-    | None -> Harness.Check.standard_targets
-  in
-  let report =
-    if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then (
-      let src =
-        try In_channel.with_open_text subject In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      let k0 =
-        try Gpu_ir.Parse.kernel_of_string_checked src with
-        | Gpu_ir.Parse.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" subject line msg;
-            exit 2
-        | Gpu_ir.Verify.Invalid msg ->
-            Printf.eprintf "%s: verification failed: %s\n" subject msg;
-            exit 2
-      in
-      Harness.Check.check_kernel ~local_items:local ~targets
-        ~name:(Filename.basename subject) k0)
-    else
-      match
-        List.find_opt
-          (fun (b : Kernels.Bench.t) ->
-            String.lowercase_ascii b.id = String.lowercase_ascii subject)
-          Kernels.Registry.all
-      with
-      | Some b -> Harness.Check.check_bench ~scale ~targets b
-      | None ->
-          Printf.eprintf
-            "unknown check subject %s (a benchmark id among: %s — or a path \
-             to an .rgk kernel file)\n"
-            subject
-            (String.concat ", "
-               (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all));
-          exit 2
-  in
-  print_string (Harness.Check.to_string report);
-  (match json_out with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Gpu_trace.Json.to_string (Harness.Check.to_json report));
-          output_char oc '\n');
-      Printf.printf "check JSON -> %s\n" path
-  | None -> ());
-  if not (Harness.Check.clean report) then exit 1
-
 (* ---------------- lint ---------------- *)
+
+(* Read and verify a kernel in the IR text format; input problems are
+   usage errors (exit 2). *)
+let load_rgk path =
+  let src =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  try Gpu_ir.Parse.kernel_of_string_checked src with
+  | Gpu_ir.Parse.Parse_error (line, msg) ->
+      Printf.eprintf "%s:%d: %s\n" path line msg;
+      exit 2
+  | Gpu_ir.Verify.Invalid msg ->
+      Printf.eprintf "%s: verification failed: %s\n" path msg;
+      exit 2
 
 let lint_target_conv =
   let parse s =
@@ -279,56 +227,33 @@ let lint_target_conv =
         Error
           (`Msg
             (Printf.sprintf "unknown lint target %s (one of: %s)" s
-               (String.concat ", "
-                  (List.map fst Harness.Lint.standard_targets))))
+               (String.concat ", " (List.map fst Harness.Lint.all_targets))))
   in
   let print fmt (label, _) = Format.pp_print_string fmt label in
   Cmdliner.Arg.conv (parse, print)
 
-(* Like check, the lint subject is a registry benchmark id or a path to
-   an .rgk kernel file; both get the full translation validation (the
-   validator brings its own synthetic launch, so no host harness is
-   needed). *)
+(* The lint subject is a registry benchmark id or a path to an .rgk
+   kernel file. Both get the static contract and the translation
+   validation (the validator brings its own synthetic launch); only a
+   benchmark has the host harness the sanitized run needs. *)
 let do_lint subject target local max_exp full json_out =
   let targets =
-    match target with Some t -> [ t ] | None -> Harness.Lint.standard_targets
+    match target with Some t -> [ t ] | None -> Harness.Lint.all_targets
   in
   let max_experiments = if full then max_int else max_exp in
   let report =
-    if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then (
-      let src =
-        try In_channel.with_open_text subject In_channel.input_all
-        with Sys_error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 2
-      in
-      let k0 =
-        try Gpu_ir.Parse.kernel_of_string_checked src with
-        | Gpu_ir.Parse.Parse_error (line, msg) ->
-            Printf.eprintf "%s:%d: %s\n" subject line msg;
-            exit 2
-        | Gpu_ir.Verify.Invalid msg ->
-            Printf.eprintf "%s: verification failed: %s\n" subject msg;
-            exit 2
-      in
+    if Filename.check_suffix subject ".rgk" || Sys.file_exists subject then
       Harness.Lint.lint_kernel ~local_items:local ~max_experiments ~targets
-        ~name:(Filename.basename subject) k0)
+        ~name:(Filename.basename subject) (load_rgk subject)
     else
-      match
-        List.find_opt
-          (fun (b : Kernels.Bench.t) ->
-            String.lowercase_ascii b.id = String.lowercase_ascii subject)
-          Kernels.Registry.all
-      with
+      match find_bench subject with
       | Some b ->
           Harness.Lint.lint_bench ~local_items:local ~max_experiments ~targets b
       | None ->
           Printf.eprintf
             "unknown lint subject %s (a benchmark id among: %s — or a path \
              to an .rgk kernel file)\n"
-            subject
-            (String.concat ", "
-               (List.map (fun (b : Kernels.Bench.t) -> b.id) Kernels.Registry.all));
+            subject (bench_ids ());
           exit 2
   in
   print_string (Harness.Lint.to_string report);
@@ -451,16 +376,7 @@ let show_conv =
       fun fmt _ -> Format.pp_print_string fmt "<show>" )
 
 let do_runfile path variant global local arg_specs shows =
-  let src = In_channel.with_open_text path In_channel.input_all in
-  let k0 =
-    try Gpu_ir.Parse.kernel_of_string_checked src with
-    | Gpu_ir.Parse.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" path line msg;
-        exit 2
-    | Gpu_ir.Verify.Invalid msg ->
-        Printf.eprintf "%s: verification failed: %s\n" path msg;
-        exit 2
-  in
+  let k0 = load_rgk path in
   let k =
     try T.apply variant ~local_items:local k0
     with Rmt_core.Intra_group.Unsupported msg ->
@@ -512,54 +428,45 @@ let do_runfile path variant global local arg_specs shows =
 
 (* ---------------- exp ---------------- *)
 
-let do_exp name quick jobs =
-  let ctx = Harness.Experiments.create_ctx ~quick ?jobs () in
-  let table =
-    [
-      ("table1", fun () -> Harness.Experiments.table1 ());
-      ("table2", fun () -> Harness.Experiments.table2 ());
-      ("table3", fun () -> Harness.Experiments.table3 ());
-      ("fig2", fun () -> Harness.Experiments.fig2 ctx);
-      ("fig3", fun () -> Harness.Experiments.fig3 ctx);
-      ("fig4", fun () -> Harness.Experiments.fig4 ctx);
-      ("fig5", fun () -> Harness.Experiments.fig5 ctx);
-      ("fig6", fun () -> Harness.Experiments.fig6 ctx);
-      ("fig7", fun () -> Harness.Experiments.fig7 ctx);
-      ("fig8", fun () -> Harness.Experiments.fig8 ());
-      ("fig9", fun () -> Harness.Experiments.fig9 ctx);
-      ("coverage", fun () -> Harness.Experiments.coverage ctx);
-      ("opt", fun () -> Harness.Experiments.opt_ablation ctx);
-      ("tmr", fun () -> Harness.Experiments.tmr ctx);
-      ("wavesize", fun () -> Harness.Experiments.wavesize ctx);
-      ("naive", fun () -> Harness.Experiments.naive ctx);
-      ("schedpolicy", fun () -> Harness.Experiments.schedpolicy ctx);
-      ("occupancy", fun () -> Harness.Experiments.occupancy ctx);
-      ("pool", fun () -> Harness.Experiments.pool ctx);
-      ("devscale", fun () -> Harness.Experiments.devscale ctx);
-      ("table2static", fun () -> Harness.Experiments.table2static ());
-      ("coststatic", fun () -> Harness.Experiments.coststatic ctx);
-      ("explain", fun () -> Harness.Experiments.explain ctx);
-      ("compare", fun () -> Harness.Experiments.paper_compare ctx);
-      ("export", fun () -> Harness.Experiments.export ctx);
-      ("all", fun () -> Harness.Experiments.all ctx);
-    ]
-  in
-  match List.assoc_opt name table with
-  | Some f ->
-      let text = f () in
-      (* Pool observability goes to stderr: report text on stdout must stay
-         byte-identical at any -j. *)
+(* Report text goes to stdout as each experiment finishes and is
+   byte-identical at any -j; progress and pool statistics go to stderr.
+   The perf-trajectory file records every completed simulated run, the
+   per-experiment wall clock and the pool statistics, for a later
+   revision to diff against with [perfdiff]. *)
+let do_exp names quick jobs =
+  match Harness.Experiments.select names with
+  | Error msg -> `Error (true, msg)
+  | Ok selected ->
+      let ctx = Harness.Experiments.create_ctx ~quick ?jobs () in
+      Printf.eprintf "[exp] %d worker domain(s)\n%!"
+        (Harness.Experiments.jobs ctx);
+      let timings =
+        List.map
+          (fun (name, f) ->
+            Printf.eprintf "[exp] %s\n%!" name;
+            let t0 = Unix.gettimeofday () in
+            print_string (f ctx);
+            (name, Unix.gettimeofday () -. t0))
+          selected
+      in
+      let rev = Harness.Metrics.rev () in
+      let out =
+        match Sys.getenv_opt "RMTGPU_BENCH_OUT" with
+        | Some p when String.trim p <> "" -> p
+        | _ -> Printf.sprintf "BENCH_%s.json" rev
+      in
+      Harness.Metrics.write_file out
+        (Harness.Metrics.bench_json ~rev
+           ~jobs:(Harness.Experiments.jobs ctx)
+           ~experiments:timings
+           ~runs:(Harness.Experiments.cached_summaries ctx)
+           ~pool:(Harness.Experiments.pool_stats ctx));
+      Printf.eprintf "[exp] wrote %s\n%!" out;
       if Harness.Experiments.jobs ctx > 1 then
-        Printf.eprintf "pool: %s\n%!" (Harness.Experiments.pool_stats_line ctx);
+        Printf.eprintf "[exp] pool: %s\n%!"
+          (Harness.Experiments.pool_stats_line ctx);
       Harness.Experiments.shutdown ctx;
-      print_string text;
       `Ok ()
-  | None ->
-      `Error
-        ( true,
-          "unknown experiment (table1-3, fig2-9, coverage, occupancy, \
-           explain, opt, tmr, wavesize, naive, schedpolicy, pool, devscale, \
-           table2static, coststatic, compare, export, all)" )
 
 (* ---------------- cmdliner wiring ---------------- *)
 
@@ -573,10 +480,18 @@ let setup_logs verbose =
 let verbose_flag =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace scheduler events")
 
+let jobs_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "-j expects a positive integer, got %s" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_opt =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for independent simulations (default: \
@@ -704,47 +619,6 @@ let profile_cmd =
       const do_profile $ bench_arg $ variant_arg ~pos:1 $ scale $ optimize
       $ json_out $ top)
 
-let check_cmd =
-  let subject =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH|FILE.rgk"
-          ~doc:"Registry benchmark id, or path to an .rgk kernel file")
-  in
-  let target =
-    Arg.(
-      value
-      & pos 1 (some check_target_conv) None
-      & info [] ~docv:"TARGET"
-          ~doc:
-            "Check a single target (baseline, intra+lds, intra-lds, inter, \
-             tmr); default: all five")
-  in
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
-  in
-  let local =
-    Arg.(
-      value & opt int 64
-      & info [ "local" ] ~docv:"N"
-          ~doc:"Work-group size assumed when checking an .rgk file")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the report as JSON")
-  in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Verify the RMT sphere-of-replication contract statically and run \
-          the benchmark under the dynamic sanitizer (races, uninitialized \
-          reads, out-of-bounds); exit 1 on findings. A path to an .rgk \
-          kernel file gets the static contract check per target")
-    Term.(const do_check $ subject $ target $ scale $ local $ json_out)
-
 let lint_cmd =
   let subject =
     Arg.(
@@ -759,8 +633,8 @@ let lint_cmd =
       & pos 1 (some lint_target_conv) None
       & info [] ~docv:"TARGET"
           ~doc:
-            "Lint a single target (intra+lds, intra-lds, intra+fast, inter, \
-             tmr); default: all five")
+            "Lint a single target (baseline, intra+lds, intra-lds, \
+             intra+fast, inter, tmr); default: all six")
   in
   let local =
     Arg.(
@@ -768,7 +642,9 @@ let lint_cmd =
       & info [ "local" ] ~docv:"N"
           ~doc:
             "Flat work-group size of the validator's synthetic launch (small \
-             by design: every fault experiment re-executes the whole kernel)")
+             by design: every fault experiment re-executes the whole kernel); \
+             an .rgk file is also transformed at this size for the static \
+             contract check")
   in
   let max_exp =
     Arg.(
@@ -791,10 +667,13 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Translation-validate the RMT transforms: check the simulation \
-          relation between original and transformed kernel under fault \
-          injection, derive the static protection-domain matrix and the \
-          cost prediction; exit 1 on findings")
+         "Verify the RMT transforms per target: the static \
+          sphere-of-replication contract, a run of the benchmark under the \
+          dynamic sanitizer (races, uninitialized reads, out-of-bounds; \
+          registry benchmarks only, not TMR), and translation validation — \
+          the simulation relation between original and transformed kernel \
+          under fault injection, the static protection-domain matrix and \
+          the cost prediction; exit 1 on findings")
     Term.(
       const do_lint $ subject $ target $ local $ max_exp $ full $ json_out)
 
@@ -833,15 +712,24 @@ let perfdiff_cmd =
     Term.(const do_perfdiff $ old_path $ new_path $ wall_tol $ counter_tol)
 
 let exp_cmd =
-  let exp_name =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXP")
+  let names =
+    Arg.(
+      non_empty & pos_all string []
+      & info [] ~docv:"EXP"
+          ~doc:
+            (Printf.sprintf "Experiments to run, in order: %s, or all"
+               (String.concat ", " (List.map fst Harness.Experiments.registry))))
   in
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced fault campaigns")
   in
   Cmd.v
-    (Cmd.info "exp" ~doc:"Regenerate a table or figure of the paper")
-    Term.(ret (const do_exp $ exp_name $ quick $ jobs_opt))
+    (Cmd.info "exp"
+       ~doc:
+         "Regenerate tables and figures of the paper and write the \
+          $(b,BENCH_<rev>.json) perf trajectory ($(b,RMTGPU_BENCH_OUT) \
+          overrides the path, $(b,RMTGPU_REV) the revision stamp)")
+    Term.(ret (const do_exp $ names $ quick $ jobs_opt))
 
 let runfile_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
@@ -869,7 +757,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ list_cmd; dump_cmd; run_cmd; trace_cmd; profile_cmd; inject_cmd;
-           check_cmd; lint_cmd; perfdiff_cmd; exp_cmd; runfile_cmd ])
+           lint_cmd; perfdiff_cmd; exp_cmd; runfile_cmd ])
   in
   (* Uniform usage-error code: cmdliner reports unknown subcommands and bad
      arguments (with usage) as 124/125; fold both onto the conventional 2

@@ -1,13 +1,13 @@
-(** The one finding/report vocabulary shared by every analysis gate.
+(** The one finding/report vocabulary shared by every analysis.
 
-    The sanitizer ({!Gpu_san.Report}), the SoR contract checker behind
-    [rmtgpu check] ({!Harness.Check}) and the translation validator
-    behind [rmtgpu lint] ({!Harness.Lint}) all end in the same place: a
-    list of findings that must be ordered by severity, rendered for
+    The sanitizer ({!Gpu_san.Report}) and the three analyses behind
+    [rmtgpu lint] ({!Harness.Lint}: the SoR contract checker, the
+    sanitized run, the translation validator) all end in the same place:
+    a list of findings that must be ordered by severity, rendered for
     humans and as JSON, and folded into a process exit code for CI.
-    This module owns that plumbing so the three gates cannot drift —
-    same severity ranking, same JSON envelope ([clean] + [findings]),
-    same exit-code policy (0 clean, 1 findings). *)
+    This module owns that plumbing so the analyses cannot drift — same
+    severity ranking, same JSON envelope ([clean] + [findings]), same
+    exit-code policy (0 clean, 1 findings). *)
 
 module Json = Gpu_trace.Json
 

@@ -582,25 +582,6 @@ let coverage ctx =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-
-let all ctx =
-  String.concat ""
-    [
-      table1 ();
-      table2 ();
-      table3 ();
-      fig2 ctx;
-      fig3 ctx;
-      fig4 ctx;
-      fig5 ctx;
-      fig6 ctx;
-      fig7 ctx;
-      fig8 ();
-      fig9 ctx;
-      coverage ctx;
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Extension: optimizer ablation (paper Sec. 6.6 suggests better        *)
 (* compiler register allocation would reduce RMT's scheduling costs)    *)
 (* ------------------------------------------------------------------ *)
@@ -863,9 +844,6 @@ let explain ctx =
       Report.row buf "         classified as %s by counters" dominant)
     all_benches;
   Buffer.contents buf
-
-(** Everything: the paper's evaluation plus the extension studies. *)
-let all_paper = all
 
 (* ------------------------------------------------------------------ *)
 (* Extension: naive full duplication baseline (paper Sec. 3.4)          *)
@@ -1390,10 +1368,54 @@ let coststatic ctx =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
+(* The experiment registry                                             *)
+(* ------------------------------------------------------------------ *)
 
-(** Everything: the paper's evaluation plus the extension studies
-    (CSV export is separate — it writes files). *)
-let all ctx =
-  all_paper ctx ^ occupancy ctx ^ explain ctx ^ paper_compare ctx
-  ^ opt_ablation ctx ^ tmr ctx ^ wavesize ctx ^ naive ctx ^ schedpolicy ctx
-  ^ pool ctx ^ devscale ctx ^ table2static () ^ coststatic ctx
+let registry : (string * (ctx -> string)) list =
+  [
+    ("table1", fun _ -> table1 ());
+    ("table2", fun _ -> table2 ());
+    ("table3", fun _ -> table3 ());
+    ("fig2", fig2);
+    ("fig3", fig3);
+    ("fig4", fig4);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fun _ -> fig8 ());
+    ("fig9", fig9);
+    ("coverage", coverage);
+    (* extensions beyond the paper *)
+    ("opt", opt_ablation);
+    ("tmr", tmr);
+    ("wavesize", wavesize);
+    ("naive", naive);
+    ("schedpolicy", schedpolicy);
+    ("occupancy", occupancy);
+    ("pool", pool);
+    ("devscale", devscale);
+    ("table2static", fun _ -> table2static ());
+    ("coststatic", coststatic);
+    ("explain", explain);
+    ("compare", paper_compare);
+    ("export", fun ctx -> export ctx);
+  ]
+
+(* CSV export writes files, so "everything" leaves it out. *)
+let all_entries = List.filter (fun (name, _) -> name <> "export") registry
+
+let all ctx = String.concat "" (List.map (fun (_, f) -> f ctx) all_entries)
+
+let select names =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | "all" :: rest -> go (List.rev_append all_entries acc) rest
+    | name :: rest -> (
+        match List.assoc_opt name registry with
+        | Some f -> go ((name, f) :: acc) rest
+        | None ->
+            Error
+              (Printf.sprintf "unknown experiment %s (one of: %s, all)" name
+                 (String.concat ", " (List.map fst registry))))
+  in
+  go [] names

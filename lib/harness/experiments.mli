@@ -156,5 +156,16 @@ val export : ?dir:string -> ?benches:Kernels.Bench.t list -> ctx -> string
 (** Write the headline figure series as CSV files; returns a report of
     the paths written. *)
 
+(** {1 The experiment registry} *)
+
+val registry : (string * (ctx -> string)) list
+(** Every experiment above by name, in report order — the one table
+    [rmtgpu exp] resolves names against. *)
+
 val all : ctx -> string
-(** Everything above except {!export}. *)
+(** Every {!registry} entry except ["export"], concatenated in order. *)
+
+val select : string list -> ((string * (ctx -> string)) list, string) result
+(** Resolve names against {!registry}, keeping their order; ["all"]
+    expands to the entries {!all} runs. [Error] names the first unknown
+    name and lists the valid ones. *)

@@ -1,6 +1,6 @@
 (** Machine-readable run metrics: JSON serialization of {!Counters} and
     {!Run.summary}, and the [BENCH_<rev>.json] perf-trajectory document
-    emitted by [bench/main.exe] for future revisions to diff against. *)
+    emitted by [rmtgpu exp] for future revisions to diff against. *)
 
 val schema_version : int
 

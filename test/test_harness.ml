@@ -214,8 +214,36 @@ let test_csv_export () =
   check Alcotest.bool "2 kernels + header" true
     (List.length (String.split_on_char '\n' (String.trim csv)) = 3)
 
+(* The one experiment table: unique names, "all" is every entry but
+   the file-writing export, and a typo is an error rather than an empty
+   selection. *)
+let test_registry () =
+  let names = List.map fst Harness.Experiments.registry in
+  check Alcotest.int "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let selected ns =
+    match Harness.Experiments.select ns with
+    | Ok es -> List.map fst es
+    | Error msg -> Alcotest.fail msg
+  in
+  check
+    Alcotest.(list string)
+    "all = registry minus export"
+    (List.filter (( <> ) "export") names)
+    (selected [ "all" ]);
+  check
+    Alcotest.(list string)
+    "order kept" [ "fig2"; "table1" ] (selected [ "fig2"; "table1" ]);
+  match Harness.Experiments.select [ "table1"; "fgi2" ] with
+  | Ok _ -> Alcotest.fail "unknown name accepted"
+  | Error msg ->
+      check Alcotest.bool "names the typo" true (string_contains msg "fgi2");
+      check Alcotest.bool "lists registry names" true
+        (List.for_all (string_contains msg) names)
+
 let extension_suite =
   [
+    tc "experiment registry" `Quick test_registry;
     tc "naive duplication" `Quick test_naive_duplication;
     tc "spearman" `Quick test_spearman;
     tc "sched policy" `Quick test_sched_policy_changes_schedule;

@@ -187,45 +187,6 @@ let test_tmr_dynamic_clean () =
     = Array.init n (fun i -> (data.(i) * 3) + (7 * (i mod wg))));
   if not (Shadow.clean san) then fail_report "TMR not clean" san
 
-(* A registry benchmark end-to-end through the check harness: static and
-   dynamic verdicts clean across the standard target matrix. FW is the
-   interesting one — its in-place relaxation leans on the benign
-   same-value store exemption. *)
-let test_check_bench_clean () =
-  List.iter
-    (fun id ->
-      let report = Harness.Check.check_bench (Kernels.Registry.find id) in
-      if not (Harness.Check.clean report) then
-        Alcotest.fail (Harness.Check.to_string report))
-    [ "BinS"; "FW" ]
-
-(* The TMR column of the check gate skips its dynamic run by design
-   (3 × group > wavefront on every registry workload); the skip must be
-   a structured classification CI can assert on, both on the entry and
-   in the JSON artifact — not just prose. *)
-let test_check_tmr_static_only_skip () =
-  let report =
-    Harness.Check.check_bench
-      ~targets:[ ("tmr", Harness.Check.T_tmr) ]
-      (Kernels.Registry.find "BinS")
-  in
-  let e =
-    match report.Harness.Check.r_entries with
-    | [ e ] -> e
-    | _ -> Alcotest.fail "expected exactly one entry"
-  in
-  (match e.Harness.Check.e_skip_kind with
-  | Some Harness.Check.Sk_static_only -> ()
-  | _ -> Alcotest.fail "TMR entry not classified Sk_static_only");
-  check Alcotest.bool "dynamic run skipped" true
-    (e.Harness.Check.e_shadow = None);
-  match Harness.Check.entry_to_json e with
-  | Gpu_trace.Json.Obj fields -> (
-      match List.assoc_opt "skip_kind" fields with
-      | Some (Gpu_trace.Json.Str "static_only") -> ()
-      | _ -> Alcotest.fail "JSON skip_kind is not \"static_only\"")
-  | _ -> Alcotest.fail "entry JSON is not an object"
-
 (* ------------------------------------------------------------------ *)
 (* Zero perturbation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -395,9 +356,6 @@ let suite =
     tc "RMT variants clean" `Slow test_rmt_variants_clean;
     tc "pooled inter clean" `Quick test_pooled_inter_clean;
     tc "TMR dynamic clean" `Quick test_tmr_dynamic_clean;
-    tc "check harness: BinS and FW clean" `Slow test_check_bench_clean;
-    tc "check harness: TMR skip is static_only" `Quick
-      test_check_tmr_static_only_skip;
     tc "sanitizer does not perturb" `Quick test_sanitizer_does_not_perturb;
     tc "sanitizer does not perturb benches" `Slow
       test_sanitizer_does_not_perturb_bench;

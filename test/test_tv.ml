@@ -290,25 +290,63 @@ let test_regpressure_never_underestimates () =
 (* The lint harness end to end                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Registry benchmarks end to end through the merged verification:
+   static contract, sanitized run and translation validation clean, one
+   JSON entry per target. BinS covers the whole matrix. FW is the
+   interesting one for the sanitizer — its in-place relaxation leans on
+   the benign same-value store exemption — and its sanitized runs
+   dominate this test, so it keeps the matrix the former check gate
+   ran (no intra+fast; the CI sweep covers that). *)
 let test_lint_bench_clean_json () =
+  let fw_targets =
+    List.filter (fun (l, _) -> l <> "intra+fast") Harness.Lint.all_targets
+  in
+  List.iter
+    (fun (id, targets) ->
+      let report =
+        Harness.Lint.lint_bench ~max_experiments:40 ~targets
+          (Kernels.Registry.find id)
+      in
+      if not (Harness.Lint.clean report) then
+        Alcotest.fail (Harness.Lint.to_string report);
+      match Harness.Lint.to_json report with
+      | Gpu_trace.Json.Obj fields ->
+          (match List.assoc_opt "clean" fields with
+          | Some (Gpu_trace.Json.Bool true) -> ()
+          | _ -> Alcotest.fail "JSON clean flag missing or false");
+          (match List.assoc_opt "targets" fields with
+          | Some (Gpu_trace.Json.List ts) ->
+              check Alcotest.int "one JSON entry per target"
+                (List.length targets) (List.length ts)
+          | _ -> Alcotest.fail "JSON targets missing")
+      | _ -> Alcotest.fail "report JSON is not an object")
+    [ ("BinS", Harness.Lint.all_targets); ("FW", fw_targets) ]
+
+(* TMR skips its dynamic run by design (3 × group > wavefront on every
+   registry workload); the skip must be a structured classification CI
+   can assert on, both on the entry and in the JSON artifact — not just
+   prose. *)
+let test_lint_tmr_static_only_skip () =
   let report =
     Harness.Lint.lint_bench ~max_experiments:40
+      ~targets:[ ("tmr", Simrel.Tmr) ]
       (Kernels.Registry.find "BinS")
   in
-  if not (Harness.Lint.clean report) then
-    Alcotest.fail (Harness.Lint.to_string report);
-  match Harness.Lint.to_json report with
-  | Gpu_trace.Json.Obj fields ->
-      (match List.assoc_opt "clean" fields with
-      | Some (Gpu_trace.Json.Bool true) -> ()
-      | _ -> Alcotest.fail "JSON clean flag missing or false");
-      (match List.assoc_opt "targets" fields with
-      | Some (Gpu_trace.Json.List ts) ->
-          check Alcotest.int "one JSON entry per target"
-            (List.length Harness.Lint.standard_targets)
-            (List.length ts)
-      | _ -> Alcotest.fail "JSON targets missing")
-  | _ -> Alcotest.fail "report JSON is not an object"
+  let e =
+    match report.Harness.Lint.l_entries with
+    | [ e ] -> e
+    | _ -> Alcotest.fail "expected exactly one entry"
+  in
+  (match e.Harness.Lint.l_skip_kind with
+  | Some Harness.Lint.Sk_static_only -> ()
+  | _ -> Alcotest.fail "TMR entry not classified Sk_static_only");
+  check Alcotest.bool "dynamic run skipped" true (e.Harness.Lint.l_run = None);
+  match Harness.Lint.entry_to_json e with
+  | Gpu_trace.Json.Obj fields -> (
+      match List.assoc_opt "skip_kind" fields with
+      | Some (Gpu_trace.Json.Str "static_only") -> ()
+      | _ -> Alcotest.fail "JSON skip_kind is not \"static_only\"")
+  | _ -> Alcotest.fail "entry JSON is not an object"
 
 let suite =
   [
@@ -322,5 +360,7 @@ let suite =
     tc "cost model bound shapes" `Quick test_costmodel_bounds_shape;
     tc "regpressure never underestimates" `Quick
       test_regpressure_never_underestimates;
-    tc "lint harness clean + JSON envelope" `Quick test_lint_bench_clean_json;
+    tc "lint harness clean + JSON envelope" `Slow test_lint_bench_clean_json;
+    tc "lint harness: TMR skip is static_only" `Quick
+      test_lint_tmr_static_only_skip;
   ]
