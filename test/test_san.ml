@@ -187,6 +187,25 @@ let test_tmr_dynamic_clean () =
     = Array.init n (fun i -> (data.(i) * 3) + (7 * (i mod wg))));
   if not (Shadow.clean san) then fail_report "TMR not clean" san
 
+(* Registry benchmarks end to end through the lint harness: static SoR
+   contract, sanitized run and translation validation clean across the
+   check matrix (baseline, intra+lds, intra-lds, inter, TMR). FW is the
+   interesting one — its in-place relaxation leans on the benign
+   same-value store exemption. *)
+let test_check_bench_clean () =
+  let targets =
+    List.filter (fun (l, _) -> l <> "intra+fast") Harness.Lint.all_targets
+  in
+  List.iter
+    (fun id ->
+      let report =
+        Harness.Lint.lint_bench ~max_experiments:40 ~targets
+          (Kernels.Registry.find id)
+      in
+      if not (Harness.Lint.clean report) then
+        Alcotest.fail (Harness.Lint.to_string report))
+    [ "BinS"; "FW" ]
+
 (* ------------------------------------------------------------------ *)
 (* Zero perturbation                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -356,6 +375,7 @@ let suite =
     tc "RMT variants clean" `Slow test_rmt_variants_clean;
     tc "pooled inter clean" `Quick test_pooled_inter_clean;
     tc "TMR dynamic clean" `Quick test_tmr_dynamic_clean;
+    tc "check harness: BinS and FW clean" `Slow test_check_bench_clean;
     tc "sanitizer does not perturb" `Quick test_sanitizer_does_not_perturb;
     tc "sanitizer does not perturb benches" `Slow
       test_sanitizer_does_not_perturb_bench;

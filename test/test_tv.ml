@@ -290,37 +290,27 @@ let test_regpressure_never_underestimates () =
 (* The lint harness end to end                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Registry benchmarks end to end through the merged verification:
-   static contract, sanitized run and translation validation clean, one
-   JSON entry per target. BinS covers the whole matrix. FW is the
-   interesting one for the sanitizer — its in-place relaxation leans on
-   the benign same-value store exemption — and its sanitized runs
-   dominate this test, so it keeps the matrix the former check gate
-   ran (no intra+fast; the CI sweep covers that). *)
+(* BinS through the merged verification over the whole matrix: clean,
+   with one JSON entry per target. (BinS and FW against the check
+   matrix are covered by the sanitizer suite.) *)
 let test_lint_bench_clean_json () =
-  let fw_targets =
-    List.filter (fun (l, _) -> l <> "intra+fast") Harness.Lint.all_targets
+  let report =
+    Harness.Lint.lint_bench ~max_experiments:40 (Kernels.Registry.find "BinS")
   in
-  List.iter
-    (fun (id, targets) ->
-      let report =
-        Harness.Lint.lint_bench ~max_experiments:40 ~targets
-          (Kernels.Registry.find id)
-      in
-      if not (Harness.Lint.clean report) then
-        Alcotest.fail (Harness.Lint.to_string report);
-      match Harness.Lint.to_json report with
-      | Gpu_trace.Json.Obj fields ->
-          (match List.assoc_opt "clean" fields with
-          | Some (Gpu_trace.Json.Bool true) -> ()
-          | _ -> Alcotest.fail "JSON clean flag missing or false");
-          (match List.assoc_opt "targets" fields with
-          | Some (Gpu_trace.Json.List ts) ->
-              check Alcotest.int "one JSON entry per target"
-                (List.length targets) (List.length ts)
-          | _ -> Alcotest.fail "JSON targets missing")
-      | _ -> Alcotest.fail "report JSON is not an object")
-    [ ("BinS", Harness.Lint.all_targets); ("FW", fw_targets) ]
+  if not (Harness.Lint.clean report) then
+    Alcotest.fail (Harness.Lint.to_string report);
+  match Harness.Lint.to_json report with
+  | Gpu_trace.Json.Obj fields ->
+      (match List.assoc_opt "clean" fields with
+      | Some (Gpu_trace.Json.Bool true) -> ()
+      | _ -> Alcotest.fail "JSON clean flag missing or false");
+      (match List.assoc_opt "targets" fields with
+      | Some (Gpu_trace.Json.List ts) ->
+          check Alcotest.int "one JSON entry per target"
+            (List.length Harness.Lint.all_targets)
+            (List.length ts)
+      | _ -> Alcotest.fail "JSON targets missing")
+  | _ -> Alcotest.fail "report JSON is not an object"
 
 (* TMR skips its dynamic run by design (3 × group > wavefront on every
    registry workload); the skip must be a structured classification CI
@@ -360,7 +350,7 @@ let suite =
     tc "cost model bound shapes" `Quick test_costmodel_bounds_shape;
     tc "regpressure never underestimates" `Quick
       test_regpressure_never_underestimates;
-    tc "lint harness clean + JSON envelope" `Slow test_lint_bench_clean_json;
+    tc "lint harness clean + JSON envelope" `Quick test_lint_bench_clean_json;
     tc "lint harness: TMR skip is static_only" `Quick
       test_lint_tmr_static_only_skip;
   ]
