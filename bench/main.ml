@@ -65,31 +65,41 @@ let micro_tests () =
     (* Figure 8: swizzle execution in the wavefront interpreter *)
     Test.make ~name:"fig8/swizzle-wave"
       (Staged.stage
-         (let w =
-            Gpu_sim.Wave.create ~wid:0 ~nregs:4 ~nlanes:64 ~flat_base:0
-              ~body:[] ~simd:0
+         (let open Gpu_ir.Types in
+          let k =
+            {
+              kname = "swizzle";
+              params = [];
+              lds_allocs = [];
+              body = [ I (Swizzle (Dup_odd, 1, Reg 0)) ];
+              nregs = 4;
+            }
           in
+          let prog =
+            Gpu_sim.Wave.decode k ~lds_base:(fun _ -> 0) ~arg:(fun _ -> 0)
+              ~line_bytes:64
+          in
+          let w =
+            Gpu_sim.Wave.create prog ~wid:0 ~nregs:4 ~nlanes:64 ~flat_base:0
+              ~view:
+                {
+                  Gpu_sim.Geom.nd = Gpu_sim.Geom.make_ndrange 64 64;
+                  gcoord = [| 0; 0; 0 |];
+                }
+              ~simd:0
+          in
+          ignore (Gpu_sim.Wave.peek w ~now:0 ~on_branch:ignore);
+          let e = w.Gpu_sim.Wave.cur in
           let mem =
             {
               Gpu_sim.Wave.mload = (fun _ _ -> 0);
               mstore = (fun _ _ _ -> ());
               matomic = (fun _ _ _ _ -> 0);
               mcas = (fun _ _ _ _ -> 0);
-              arg = (fun _ -> 0);
-              lds_base = (fun _ -> 0);
               msan = None;
-              view =
-                {
-                  Gpu_sim.Geom.nd = Gpu_sim.Geom.make_ndrange 64 64;
-                  gcoord = [| 0; 0; 0 |];
-                };
             }
           in
-          fun () ->
-            ignore
-              (Gpu_sim.Wave.exec w
-                 (Gpu_ir.Types.Swizzle (Gpu_ir.Types.Dup_odd, 1, Gpu_ir.Types.Reg 0))
-                 ~mem ~line_bytes:64)));
+          fun () -> ignore (Gpu_sim.Wave.exec w e ~mem)));
     (* Figure 9: FAST communication variant run *)
     Test.make ~name:"fig9/dwt-fast" (stage_run "DWT" T.intra_plus_lds_fast);
     (* Coverage: one injected run *)

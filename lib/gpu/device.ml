@@ -12,6 +12,14 @@
     completed, which is what lets waves hide each other's memory latency —
     the effect the paper's memory-bound kernels exploit to get cheap RMT.
 
+    Each launch lowers its kernel once ({!Wave.decode}); the waves of the
+    launch share that program. On its turn a SIMD's scan visits only its
+    own waves, reading readiness, unit and destination from the decoded
+    instruction; the other SIMDs' waves matter only through a count of
+    running waves. The issue loop allocates nothing per scan or per
+    instruction beyond what observers (trace, profile, provenance,
+    sanitizer) ask for.
+
     The simulator is cycle-stepped but skips ahead over provably idle
     periods, so spin-heavy Inter-Group RMT kernels remain tractable. *)
 
@@ -19,7 +27,6 @@ open Gpu_ir.Types
 module Regpressure = Gpu_ir.Regpressure
 module Uniformity = Gpu_ir.Uniformity
 module F32 = Gpu_ir.F32
-module Site = Gpu_ir.Site
 module Prov = Gpu_prof.Provenance
 
 (* Scheduler-event log ("gpu.device" source): dispatches, retirements,
@@ -57,7 +64,7 @@ type result = {
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  data : Gmem.t;  (** global memory, paged: creation costs no zero-fill *)
   mutable alloc_ptr : int;
   mutable san : Gpu_san.Shadow.t option;
       (** dynamic sanitizer shadow; attach with {!set_san} before the
@@ -66,7 +73,7 @@ type t = {
 }
 
 let create (cfg : Config.t) =
-  { cfg; data = Bytes.make cfg.memory_bytes '\000'; alloc_ptr = 256; san = None }
+  { cfg; data = Gmem.create cfg.memory_bytes; alloc_ptr = 256; san = None }
 
 (** Attach (or detach) the sanitizer shadow. *)
 let set_san dev s = dev.san <- s
@@ -79,7 +86,7 @@ let align_up v a = (v + a - 1) / a * a
 
 let alloc dev bytes =
   let addr = align_up dev.alloc_ptr 256 in
-  if addr + bytes > Bytes.length dev.data then
+  if addr + bytes > Gmem.size dev.data then
     failwith "Device.alloc: out of device memory";
   dev.alloc_ptr <- addr + bytes;
   (match dev.san with
@@ -103,11 +110,11 @@ let write_i32 dev buf i v =
   (match dev.san with
   | Some s -> Gpu_san.Shadow.host_write s (buf.addr + (i * 4))
   | None -> ());
-  Bytes.set_int32_le dev.data (buf.addr + (i * 4)) (Int32.of_int v)
+  Gmem.set32 dev.data (buf.addr + (i * 4)) v
 
 let read_i32 dev buf i =
   check_idx buf i;
-  F32.norm (Int32.to_int (Bytes.get_int32_le dev.data (buf.addr + (i * 4))))
+  Gmem.get32 dev.data (buf.addr + (i * 4))
 
 let write_f32 dev buf i x = write_i32 dev buf i (F32.of_float x)
 let read_f32 dev buf i = F32.to_float (read_i32 dev buf i)
@@ -124,15 +131,20 @@ let fill_i32 dev buf n v = for i = 0 to n - 1 do write_i32 dev buf i v done
 
 type grp = {
   g_index : int;
-  view : Geom.group_view;
   lds_mem : Bytes.t;
   g_waves : Wave.t array;
+  g_mem : Wave.mem_ops;
   mutable barrier_arrived : int;
   mutable retired_waves : int;
   g_lds_account : int;  (** LDS bytes charged to the CU (incl. inflation) *)
 }
 
-type slot = { w : Wave.t; g : grp; mem : Wave.mem_ops; mutable live : bool }
+type slot = {
+  w : Wave.t;
+  g : grp;
+  pos : int;  (** index in the CU's schedule snapshot *)
+  mutable live : bool;
+}
 
 type cu_state = {
   cu_id : int;
@@ -142,9 +154,13 @@ type cu_state = {
   simd_vgprs : int array;
   simd_sgprs : int array;
   simd_busy_until : int array;
+  running : int array;  (** per SIMD: resident waves in [Running] state *)
+  mutable n_running : int;
   mutable salu_busy_until : int;
   mutable lds_busy_until : int;
   mutable sched : slot array;
+  mutable by_simd : slot array array;
+      (** [sched] split per SIMD, each in schedule order *)
   mutable rr : int;  (** rotating scan start for [Round_robin] *)
   mutable wake : int;
   mutable wstall_counted_until : int;
@@ -153,17 +169,26 @@ type cu_state = {
           one episode never double-count *)
 }
 
-exception Trap_detected
+(* Per-scan state, reused by every scan of a launch. *)
+type scan = {
+  mutable next_wake : int;
+  mutable valu_used : bool;
+  mutable vmem_used : bool;
+  mutable lds_issued : bool;
+  mutable salu_used : bool;
+  mutable events : bool;
+}
 
-type unit_kind = U_valu | U_salu | U_vmem | U_lds
+exception Trap_detected
 
 (* Which hardware structure currently holds the injected corrupted value.
    Tracked only while a provenance record is attached and only until the
    first consuming instruction is found. *)
 type taint =
   | Taint_none
-  | Taint_reg of { t_wave : Wave.t; t_reg : int; t_lanes : int64 }
-  | Taint_lds of { t_grp : grp; t_addr : int }
+  | Taint_reg of { t_wave : Wave.t; t_reg : int; t_lane : int }
+      (** [t_lane] is -1 for a scalar register (every lane) *)
+  | Taint_lds of { t_group : int; t_addr : int }
       (** word-aligned byte address within the group's LDS *)
   | Taint_l1
 
@@ -218,17 +243,6 @@ let atomic_eval op old v =
   | A_max_u -> if uo >= uv then old else v
   | A_min_u -> if uo <= uv then old else v
   | A_poll -> old  (* tagged spin-poll: an L2-visible read, no write *)
-
-let classify_unit div (i : inst) : unit_kind =
-  match i with
-  | Load (Global, _, _) | Store (Global, _, _)
-  | Atomic (_, Global, _, _, _) | Cas (Global, _, _, _, _) ->
-      U_vmem
-  | Load (Local, _, _) | Store (Local, _, _)
-  | Atomic (_, Local, _, _, _) | Cas (Local, _, _, _, _) ->
-      U_lds
-  | Trap _ | Swizzle _ -> U_valu
-  | _ -> if Uniformity.inst_scalarizable div i then U_salu else U_valu
 
 (** Run [kernel] over [nd] with [args]. *)
 let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
@@ -291,9 +305,12 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           simd_vgprs = Array.make cfg.simds_per_cu 0;
           simd_sgprs = Array.make cfg.simds_per_cu 0;
           simd_busy_until = Array.make cfg.simds_per_cu 0;
+          running = Array.make cfg.simds_per_cu 0;
+          n_running = 0;
           salu_busy_until = 0;
           lds_busy_until = 0;
           sched = [||];
+          by_simd = Array.make cfg.simds_per_cu [||];
           rr = 0;
           wake = 0;
           wstall_counted_until = 0;
@@ -320,11 +337,23 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     if m <= 0 then 0 else !rng mod m
   in
 
+  (* -------------------- decode -------------------- *)
+  (* The kernel is lowered once per launch and the program shared by
+     every wave; site ids are dense program-order indices, so the same
+     kernel always charges into the same collector slots. *)
+  let prog =
+    Wave.decode kernel
+      ~scalar:(Uniformity.inst_scalarizable div)
+      ~lds_base:(fun name ->
+        match List.assoc_opt name lds_layout with
+        | Some o -> o
+        | None -> raise (Memsys.Fault ("unknown LDS allocation " ^ name)))
+      ~arg:(fun idx -> arg_values.(idx))
+      ~line_bytes:cfg.line_bytes
+  in
+  let nsites = Wave.nsites prog in
+
   (* -------------------- profiling / provenance -------------------- *)
-  (* The annotated body is built once per launch and shared by every
-     wave; site ids are dense program-order indices, so the same kernel
-     always charges into the same collector slots. *)
-  let abody, nsites = Site.annotate kernel.body in
   let profiling = opts.profile <> None in
   let prof : Gpu_prof.Collector.t =
     match opts.profile with
@@ -359,9 +388,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     | None -> fun _ -> ()
   in
   let taint = ref Taint_none in
-  (* Site and instruction currently at the head of the issuing wave;
-     consulted by the memory closures when they observe a tainted read. *)
-  let prov_cur = ref None in
+  (* Instruction at the head of the issuing wave; consulted by the
+     memory closures when they observe a tainted read. *)
+  let prov_cur : Wave.entry option ref = ref None in
   let prov_now = ref 0 in
   let issued_insts () =
     counters.valu_insts + counters.salu_insts + counters.vmem_insts
@@ -370,14 +399,14 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
   let prov_record_use () =
     if prov.first_use = None then
       match !prov_cur with
-      | Some (site, i) ->
+      | Some e ->
           prov.first_use <-
             Some
               {
-                Prov.u_site = site;
+                Prov.u_site = e.Wave.site;
                 u_cycle = !prov_now;
                 u_inst_index = issued_insts ();
-                u_inst = Gpu_ir.Pp.string_of_inst i;
+                u_inst = Gpu_ir.Pp.string_of_inst e.Wave.inst;
               }
       | None -> ()
   in
@@ -385,42 +414,43 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
      consumption; a full overwrite of the tainted lanes before any read
      kills the fault (dead-value masking). Swizzle reads across lanes,
      so it consumes regardless of the tainted lane's active bit. *)
-  let prov_check_inst (w : Wave.t) i =
+  let prov_check_inst (w : Wave.t) (e : Wave.entry) =
     match !taint with
-    | Taint_reg { t_wave; t_reg; t_lanes }
+    | Taint_reg { t_wave; t_reg; t_lane }
       when t_wave == w && prov.first_use = None ->
-        let is_swizzle = match i with Swizzle _ -> true | _ -> false in
+        let is_swizzle = match e.inst with Swizzle _ -> true | _ -> false in
+        let some_active, all_active =
+          if t_lane >= 0 then
+            let a = Wave.lane_active w t_lane in
+            (a, a)
+          else
+            let n = Wave.active_lanes w in
+            (n > 0, n = w.Wave.nlanes)
+        in
         let reads =
-          List.exists (function Reg r -> r = t_reg | _ -> false) (inst_uses i)
-          && (is_swizzle || Int64.logand w.Wave.mask t_lanes <> 0L)
+          Array.exists (fun r -> r = t_reg) e.uses
+          && (is_swizzle || some_active)
         in
         if reads then prov_record_use ()
-        else begin
-          match inst_def i with
-          | Some d
-            when d = t_reg
-                 && Int64.logand (Int64.lognot w.Wave.mask) t_lanes = 0L ->
-              taint := Taint_none;
-              prov.overwritten <- true
-          | _ -> ()
+        else if e.def = t_reg && all_active then begin
+          taint := Taint_none;
+          prov.overwritten <- true
         end
     | _ -> ()
   in
 
   (* -------------------- group dispatch -------------------- *)
-  let make_mem_ops cu (g : grp) ~(w : Wave.t) ~cu_id : Wave.mem_ops =
-    let g_lds = g.lds_mem in
-    let view = g.view in
+  let make_mem_ops ~g_index ~(g_lds : Bytes.t) ~cu_id : Wave.mem_ops =
     let msan =
       match dev.san with
       | None -> None
       | Some sh ->
           let lds_bytes = Bytes.length g_lds in
           Some
-            (fun kind sp addr lane value ->
+            (fun (w : Wave.t) kind sp addr lane value ->
               let coord =
                 {
-                  Gpu_san.Shadow.c_group = g.g_index;
+                  Gpu_san.Shadow.c_group = g_index;
                   c_wave = w.Wave.wid;
                   c_item = w.Wave.flat_base + lane;
                 }
@@ -465,13 +495,12 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       if addr land 3 <> 0 then
         raise (Memsys.Fault (Printf.sprintf "unaligned LDS %s at %d" what addr))
     in
-    ignore cu;
     let lds_read addr =
       lds_check addr "load";
       if prov_on then
         (match !taint with
-        | Taint_lds { t_grp; t_addr }
-          when t_grp == g && addr = t_addr && prov.first_use = None ->
+        | Taint_lds { t_group; t_addr }
+          when t_group = g_index && addr = t_addr && prov.first_use = None ->
             prov_record_use ()
         | _ -> ());
       F32.norm (Int32.to_int (Bytes.get_int32_le g_lds addr))
@@ -480,7 +509,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       lds_check addr "store";
       if prov_on then
         (match !taint with
-        | Taint_lds { t_grp; t_addr } when t_grp == g && addr = t_addr ->
+        | Taint_lds { t_group; t_addr } when t_group = g_index && addr = t_addr ->
             (* overwrite refreshes the word; a never-read fault is dead *)
             taint := Taint_none;
             if prov.first_use = None then prov.overwritten <- true
@@ -536,30 +565,28 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
               let old = lds_read a in
               if old = e then lds_write a n;
               old);
-      arg = (fun idx -> arg_values.(idx));
-      lds_base =
-        (fun name ->
-          match List.assoc_opt name lds_layout with
-          | Some o -> o
-          | None -> raise (Memsys.Fault ("unknown LDS allocation " ^ name)));
-      view;
       msan;
     }
   in
 
   let rebuild_sched cu =
     let slots = ref [] in
+    let pos = ref 0 in
     List.iter
       (fun g ->
         Array.iter
           (fun w ->
-            if w.Wave.state <> Wave.Retired then
-              slots :=
-                { w; g; mem = make_mem_ops cu g ~w ~cu_id:cu.cu_id; live = true }
-                :: !slots)
+            if w.Wave.state <> Wave.Retired then begin
+              slots := { w; g; pos = !pos; live = true } :: !slots;
+              incr pos
+            end)
           g.g_waves)
       cu.groups;
-    cu.sched <- Array.of_list (List.rev !slots)
+    let sched = List.rev !slots in
+    cu.sched <- Array.of_list sched;
+    cu.by_simd <-
+      Array.init cfg.simds_per_cu (fun simd ->
+          Array.of_list (List.filter (fun s -> s.w.Wave.simd = simd) sched))
   in
 
   (* Greedy wave-to-SIMD placement; returns assignments or None. *)
@@ -607,15 +634,16 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             Array.init waves_per_group (fun wi ->
                 let flat_base = wi * cfg.wave_size in
                 let nlanes = min cfg.wave_size (group_items - flat_base) in
-                Wave.create ~wid:wi ~nregs:kernel.nregs ~nlanes ~flat_base
-                  ~body:abody ~simd:assign.(wi))
+                Wave.create prog ~wid:wi ~nregs:kernel.nregs ~nlanes ~flat_base
+                  ~view ~simd:assign.(wi))
           in
+          let lds_mem = Bytes.make (max lds_total 4) '\000' in
           let g =
             {
               g_index = gi;
-              view;
-              lds_mem = Bytes.make (max lds_total 4) '\000';
+              lds_mem;
               g_waves = waves;
+              g_mem = make_mem_ops ~g_index:gi ~g_lds:lds_mem ~cu_id:cu.cu_id;
               barrier_arrived = 0;
               retired_waves = 0;
               g_lds_account = lds_account;
@@ -623,12 +651,13 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           in
           cu.groups <- cu.groups @ [ g ];
           cu.lds_used <- cu.lds_used + lds_account;
-          Array.iteri
-            (fun wi simd ->
-              ignore wi;
+          Array.iter
+            (fun simd ->
               cu.simd_waves.(simd) <- cu.simd_waves.(simd) + 1;
               cu.simd_vgprs.(simd) <- cu.simd_vgprs.(simd) + usage.vgprs;
-              cu.simd_sgprs.(simd) <- cu.simd_sgprs.(simd) + usage.sgprs)
+              cu.simd_sgprs.(simd) <- cu.simd_sgprs.(simd) + usage.sgprs;
+              cu.running.(simd) <- cu.running.(simd) + 1;
+              cu.n_running <- cu.n_running + 1)
             assign;
           counters.groups_launched <- counters.groups_launched + 1;
           counters.waves_launched <- counters.waves_launched + waves_per_group;
@@ -676,6 +705,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     cu.simd_waves.(simd) <- cu.simd_waves.(simd) - 1;
     cu.simd_vgprs.(simd) <- cu.simd_vgprs.(simd) - usage.vgprs;
     cu.simd_sgprs.(simd) <- cu.simd_sgprs.(simd) - usage.sgprs;
+    cu.running.(simd) <- cu.running.(simd) - 1;
+    cu.n_running <- cu.n_running - 1;
     s.g.retired_waves <- s.g.retired_waves + 1;
     if s.g.retired_waves = Array.length s.g.g_waves then begin
       cu.groups <- List.filter (fun g -> g != s.g) cu.groups;
@@ -700,7 +731,14 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
            { cu = cu.cu_id; group = g.g_index; wave = wid });
     if g.barrier_arrived = Array.length g.g_waves then begin
       g.barrier_arrived <- 0;
-      Array.iter Wave.release_barrier g.g_waves;
+      Array.iter
+        (fun (w : Wave.t) ->
+          if w.state = Wave.At_barrier then begin
+            Wave.release_barrier w;
+            cu.running.(w.simd) <- cu.running.(w.simd) + 1;
+            cu.n_running <- cu.n_running + 1
+          end)
+        g.g_waves;
       counters.barriers_executed <- counters.barriers_executed + 1;
       if san_on then san_barrier_release g.g_index;
       if tracing then
@@ -713,37 +751,287 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
 
   (* -------------------- issue -------------------- *)
   let on_branch () = counters.branches <- counters.branches + 1 in
+  let sc =
+    {
+      next_wake = max_int;
+      valu_used = false;
+      vmem_used = false;
+      lds_issued = false;
+      salu_used = false;
+      events = false;
+    }
+  in
+  let note now t = if t > now && t < sc.next_wake then sc.next_wake <- t in
+  let stall cu (s : slot) now cause =
+    emit now
+      (Gpu_trace.Sink.Stall
+         { cu = cu.cu_id; group = s.g.g_index; wave = s.w.Wave.wid; cause })
+  in
+  let issued cu (s : slot) now unit_ busy =
+    emit now
+      (Gpu_trace.Sink.Wave_issue
+         {
+           cu = cu.cu_id;
+           simd = s.w.Wave.simd;
+           group = s.g.g_index;
+           wave = s.w.Wave.wid;
+           unit_;
+           busy;
+         })
+  in
+  let unit_busy cu s now site t =
+    if tracing then stall cu s now Gpu_trace.Sink.Unit_busy;
+    if profiling then
+      prof.stall_unit_busy.(site) <- prof.stall_unit_busy.(site) + 1;
+    note now t
+  in
 
+  (* One wave's turn: advance its control flow and issue its next
+     instruction if the scoreboard and the target unit allow. *)
+  let visit cu (s : slot) simd now =
+    let w = s.w in
+    match Wave.peek w ~now ~on_branch with
+    | Wave.P_done ->
+        retire_wave cu s now;
+        sc.events <- true
+    | Wave.P_barrier_arrived ->
+        cu.running.(simd) <- cu.running.(simd) - 1;
+        cu.n_running <- cu.n_running - 1;
+        if arrive_barrier cu s.g ~wid:w.Wave.wid now then sc.events <- true
+    | Wave.P_waiting ->
+        if tracing then stall cu s now Gpu_trace.Sink.Barrier_wait;
+        if profiling && w.Wave.barrier_site >= 0 then
+          prof.stall_barrier.(w.Wave.barrier_site) <-
+            prof.stall_barrier.(w.Wave.barrier_site) + 1
+    | Wave.P_stall ->
+        (* control-flow operand not ready: conservative near wake *)
+        note now (now + 1)
+    | Wave.P_inst ->
+        let e = w.Wave.cur in
+        let site = e.site in
+        let uses = e.uses and ready_at = w.Wave.ready_at in
+        let until = ref (now + 1) and blocked = ref false in
+        for k = 0 to Array.length uses - 1 do
+          let r = ready_at.(uses.(k)) in
+          if r > now then blocked := true;
+          if r > !until then until := r
+        done;
+        if !blocked then begin
+          if tracing then stall cu s now Gpu_trace.Sink.Scoreboard;
+          if profiling then
+            prof.stall_scoreboard.(site) <- prof.stall_scoreboard.(site) + 1;
+          note now !until
+        end
+        else begin
+          let issue_done = ref false in
+          if prov_on then begin
+            prov_cur := Some e;
+            prov_now := now
+          end;
+          if san_on then san_set_site site;
+          (match e.unit_ with
+          | Wave.U_valu ->
+              if (not sc.valu_used) && cu.simd_busy_until.(simd) <= now then begin
+                let fired = Wave.exec w e ~mem:s.g.g_mem in
+                let busy =
+                  if e.trans then cfg.valu_trans_latency else cfg.valu_latency
+                in
+                cu.simd_busy_until.(simd) <- now + busy;
+                counters.valu_busy <- counters.valu_busy + busy;
+                counters.valu_insts <- counters.valu_insts + 1;
+                counters.valu_lane_ops <-
+                  counters.valu_lane_ops + Wave.active_lanes w;
+                (* charge the profile before any trap can raise so a
+                   Detected run still reconciles with [Counters] *)
+                if profiling then begin
+                  prof.issues.(site) <- prof.issues.(site) + 1;
+                  prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
+                end;
+                if e.def >= 0 then ready_at.(e.def) <- now + busy;
+                if fired <> 0 then begin
+                  incr detections;
+                  detected_at := Some now;
+                  if prov_on then begin
+                    prov_check_inst w e;
+                    prov.detect_site <- site;
+                    prov.detect_cycle <- now;
+                    prov.detect_inst_index <- issued_insts ()
+                  end;
+                  Log.info (fun m ->
+                      m
+                        "cycle %d: output comparison trapped (CU %d, group \
+                         %d, wave %d)"
+                        now cu.cu_id s.g.g_index w.Wave.wid);
+                  raise Trap_detected
+                end;
+                if tracing then issued cu s now Gpu_trace.Sink.Valu busy;
+                sc.valu_used <- true;
+                issue_done := true
+              end
+              else unit_busy cu s now site cu.simd_busy_until.(simd)
+          | Wave.U_salu ->
+              if (not sc.salu_used) && cu.salu_busy_until <= now then begin
+                ignore (Wave.exec w e ~mem:s.g.g_mem);
+                cu.salu_busy_until <- now + 1;
+                counters.salu_busy <- counters.salu_busy + 1;
+                counters.salu_insts <- counters.salu_insts + 1;
+                if profiling then begin
+                  prof.issues.(site) <- prof.issues.(site) + 1;
+                  prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
+                end;
+                if e.def >= 0 then ready_at.(e.def) <- now + cfg.salu_latency;
+                if tracing then issued cu s now Gpu_trace.Sink.Salu 1;
+                sc.salu_used <- true;
+                issue_done := true
+              end
+              else unit_busy cu s now site cu.salu_busy_until
+          | Wave.U_lds ->
+              if (not sc.lds_issued) && cu.lds_busy_until <= now then begin
+                let lanes = Wave.exec w e ~mem:s.g.g_mem in
+                cu.lds_busy_until <- now + cfg.lds_issue_cycles;
+                counters.lds_busy <- counters.lds_busy + cfg.lds_issue_cycles;
+                counters.lds_insts <- counters.lds_insts + 1;
+                if profiling then begin
+                  prof.issues.(site) <- prof.issues.(site) + 1;
+                  prof.lds_busy.(site) <-
+                    prof.lds_busy.(site) + cfg.lds_issue_cycles
+                end;
+                counters.lds_lane_ops <- counters.lds_lane_ops + lanes;
+                (match e.mkind with
+                | Wave.MAtomic -> counters.atomics <- counters.atomics + 1
+                | Wave.MLoad | Wave.MStore -> ());
+                if e.def >= 0 then ready_at.(e.def) <- now + cfg.lds_latency;
+                if tracing then
+                  issued cu s now Gpu_trace.Sink.Lds cfg.lds_issue_cycles;
+                sc.lds_issued <- true;
+                issue_done := true
+              end
+              else unit_busy cu s now site cu.lds_busy_until
+          | Wave.U_vmem ->
+              let is_store =
+                match e.mkind with Wave.MStore -> true | _ -> false
+              in
+              if sc.vmem_used || ms.Memsys.mem_busy_until.(cu.cu_id) > now then
+                unit_busy cu s now site ms.Memsys.mem_busy_until.(cu.cu_id)
+              else if is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now
+              then begin
+                (* Charge the whole blocked span at once: the backlog
+                   cannot change while the store is stalled, and idle
+                   skip-ahead may never rescan the intervening cycles.
+                   [wstall_counted_until] de-overlaps repeat scans of the
+                   same episode, so each blocked cycle is counted exactly
+                   once per CU. *)
+                let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
+                let from = max now cu.wstall_counted_until in
+                if until > from then begin
+                  counters.write_stalled <-
+                    counters.write_stalled + (until - from);
+                  if profiling then
+                    prof.write_stalled.(site) <-
+                      prof.write_stalled.(site) + (until - from);
+                  cu.wstall_counted_until <- until
+                end;
+                if tracing then stall cu s now Gpu_trace.Sink.Write_backlog;
+                if profiling then
+                  prof.stall_write_backlog.(site) <-
+                    prof.stall_write_backlog.(site) + 1;
+                note now until
+              end
+              else begin
+                let lanes = Wave.exec w e ~mem:s.g.g_mem in
+                let nlines = w.Wave.nlines in
+                (* atomics are processed at the L2: they occupy the CU's
+                   vector memory unit only to issue, not per line *)
+                let busy =
+                  match e.mkind with
+                  | Wave.MAtomic -> 8
+                  | Wave.MLoad | Wave.MStore -> 4 + (4 * (max 1 nlines - 1))
+                in
+                ms.Memsys.mem_busy_until.(cu.cu_id) <- now + busy;
+                counters.mem_unit_busy <- counters.mem_unit_busy + busy;
+                counters.vmem_insts <- counters.vmem_insts + 1;
+                if profiling then begin
+                  prof.issues.(site) <- prof.issues.(site) + 1;
+                  prof.mem_unit_busy.(site) <- prof.mem_unit_busy.(site) + busy
+                end;
+                if e.poll then begin
+                  (* every active lane's flag poll is one spin iteration
+                     (Per_item gives each lane its own slot) *)
+                  counters.spin_iterations <- counters.spin_iterations + lanes;
+                  if profiling then
+                    prof.spin_iterations.(site) <-
+                      prof.spin_iterations.(site) + lanes;
+                  if tracing then stall cu s now Gpu_trace.Sink.Spin
+                end;
+                if tracing then issued cu s now Gpu_trace.Sink.Vmem busy;
+                (match e.mkind with
+                | Wave.MLoad ->
+                    counters.global_load_insts <- counters.global_load_insts + 1;
+                    let t =
+                      if profiling then begin
+                        (* attribute the cache outcome of this load by
+                           delta over the shared counters, which
+                           [load_timed] bumps internally *)
+                        let h1 = counters.l1_hits
+                        and s1 = counters.l1_misses
+                        and h2 = counters.l2_hits
+                        and s2 = counters.l2_misses in
+                        let t =
+                          Memsys.load_timed ms ~cu:cu.cu_id ~now w.Wave.lines
+                            ~n:nlines
+                        in
+                        prof.l1_hits.(site) <-
+                          prof.l1_hits.(site) + (counters.l1_hits - h1);
+                        prof.l1_misses.(site) <-
+                          prof.l1_misses.(site) + (counters.l1_misses - s1);
+                        prof.l2_hits.(site) <-
+                          prof.l2_hits.(site) + (counters.l2_hits - h2);
+                        prof.l2_misses.(site) <-
+                          prof.l2_misses.(site) + (counters.l2_misses - s2);
+                        t
+                      end
+                      else
+                        Memsys.load_timed ms ~cu:cu.cu_id ~now w.Wave.lines
+                          ~n:nlines
+                    in
+                    if e.def >= 0 then ready_at.(e.def) <- t
+                | Wave.MStore ->
+                    counters.global_store_insts <-
+                      counters.global_store_insts + 1;
+                    Memsys.store_timed ms ~cu:cu.cu_id ~now ~n:nlines
+                | Wave.MAtomic ->
+                    counters.atomics <- counters.atomics + 1;
+                    let t =
+                      Memsys.atomic_timed ms ~cu:cu.cu_id ~now w.Wave.lines
+                        ~n:nlines
+                    in
+                    if e.def >= 0 then ready_at.(e.def) <- t);
+                sc.vmem_used <- true;
+                issue_done := true
+              end);
+          if !issue_done then begin
+            if prov_on then prov_check_inst w e;
+            Wave.consume w;
+            w.Wave.last_issue <- now;
+            note now (now + 1)
+          end
+        end
+  in
+
+  (* A scan visits only the slots of the SIMD whose issue turn it is, in
+     schedule order from the rotating start. Waves of the other SIMDs
+     matter only through whether any of them is running (they may issue
+     within the next three cycles), which [cu.n_running] tracks. *)
   let scan_cu cu now =
     let simd = now mod cfg.simds_per_cu in
-    let wake = ref max_int in
-    let note t = if t > now && t < !wake then wake := t in
-    let other_simd_work = ref false in
-    let valu_used = ref false
-    and vmem_used = ref false
-    and lds_used = ref false
-    and salu_used = ref false in
-    let events = ref false in
-    let stall (s : slot) cause =
-      emit now
-        (Gpu_trace.Sink.Stall
-           { cu = cu.cu_id; group = s.g.g_index; wave = s.w.Wave.wid; cause })
-    in
-    let issued (s : slot) unit_ busy =
-      emit now
-        (Gpu_trace.Sink.Wave_issue
-           {
-             cu = cu.cu_id;
-             simd = s.w.Wave.simd;
-             group = s.g.g_index;
-             wave = s.w.Wave.wid;
-             unit_;
-             busy;
-           })
-    in
-    (* iterate a stable snapshot: retirement may rebuild [cu.sched] *)
-    let sched = cu.sched in
-    let n = Array.length sched in
+    sc.next_wake <- max_int;
+    sc.valu_used <- false;
+    sc.vmem_used <- false;
+    sc.lds_issued <- false;
+    sc.salu_used <- false;
+    sc.events <- false;
+    let other_simd_work = cu.n_running - cu.running.(simd) > 0 in
+    let n = Array.length cu.sched in
     let start =
       match cfg.sched_policy with
       | Config.Greedy -> 0
@@ -751,299 +1039,17 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           cu.rr <- (cu.rr + 1) mod max 1 n;
           cu.rr
     in
-    for k = 0 to n - 1 do
-      let idx = (start + k) mod n in
-      let s = sched.(idx) in
-      if s.live then begin
-        let w = s.w in
-        if w.Wave.simd <> simd then begin
-          (* not this SIMD's turn; it may have work within 3 cycles *)
-          match w.Wave.state with
-          | Wave.Running -> other_simd_work := true
-          | Wave.At_barrier | Wave.Retired -> ()
-        end
-        else
-          match Wave.peek w ~now ~on_branch with
-          | Wave.P_done ->
-              retire_wave cu s now;
-              events := true
-          | Wave.P_barrier_arrived ->
-              if arrive_barrier cu s.g ~wid:w.Wave.wid now then events := true
-          | Wave.P_waiting ->
-              if tracing then stall s Gpu_trace.Sink.Barrier_wait;
-              if profiling && w.Wave.barrier_site >= 0 then
-                prof.stall_barrier.(w.Wave.barrier_site) <-
-                  prof.stall_barrier.(w.Wave.barrier_site) + 1
-          | Wave.P_stall ->
-              (* control-flow operand not ready: conservative near wake *)
-              note (now + 1)
-          | Wave.P_inst (site, i) ->
-              if not (Wave.inst_ready w ~now i) then begin
-                let t =
-                  List.fold_left
-                    (fun acc v ->
-                      match v with
-                      | Reg r -> max acc w.Wave.ready_at.(r)
-                      | _ -> acc)
-                    (now + 1) (inst_uses i)
-                in
-                if tracing then stall s Gpu_trace.Sink.Scoreboard;
-                if profiling then
-                  prof.stall_scoreboard.(site) <- prof.stall_scoreboard.(site) + 1;
-                note t
-              end
-              else begin
-                let issue_done = ref false in
-                if prov_on then begin
-                  prov_cur := Some (site, i);
-                  prov_now := now
-                end;
-                if san_on then san_set_site site;
-                (match classify_unit div i with
-                | U_valu ->
-                    if (not !valu_used) && cu.simd_busy_until.(simd) <= now
-                    then begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      let busy =
-                        match eff with
-                        | Wave.E_trans -> cfg.valu_trans_latency
-                        | _ -> cfg.valu_latency
-                      in
-                      cu.simd_busy_until.(simd) <- now + busy;
-                      counters.valu_busy <- counters.valu_busy + busy;
-                      counters.valu_insts <- counters.valu_insts + 1;
-                      counters.valu_lane_ops <-
-                        counters.valu_lane_ops + Wave.active_lanes w;
-                      (* charge the profile before any trap can raise so a
-                         Detected run still reconciles with [Counters] *)
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
-                      end;
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + busy
-                      | None -> ());
-                      (match eff with
-                      | Wave.E_trap true ->
-                          incr detections;
-                          detected_at := Some now;
-                          if prov_on then begin
-                            prov_check_inst w i;
-                            prov.detect_site <- site;
-                            prov.detect_cycle <- now;
-                            prov.detect_inst_index <- issued_insts ()
-                          end;
-                          Log.info (fun m ->
-                              m
-                                "cycle %d: output comparison trapped (CU %d, \
-                                 group %d, wave %d)"
-                                now cu.cu_id s.g.g_index w.Wave.wid);
-                          raise Trap_detected
-                      | _ -> ());
-                      if tracing then issued s Gpu_trace.Sink.Valu busy;
-                      valu_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.simd_busy_until.(simd)
-                    end
-                | U_salu ->
-                    if (not !salu_used) && cu.salu_busy_until <= now then begin
-                      ignore (Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes);
-                      cu.salu_busy_until <- now + 1;
-                      counters.salu_busy <- counters.salu_busy + 1;
-                      counters.salu_insts <- counters.salu_insts + 1;
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
-                      end;
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + cfg.salu_latency
-                      | None -> ());
-                      if tracing then issued s Gpu_trace.Sink.Salu 1;
-                      salu_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.salu_busy_until
-                    end
-                | U_lds ->
-                    if (not !lds_used) && cu.lds_busy_until <= now then begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      cu.lds_busy_until <- now + cfg.lds_issue_cycles;
-                      counters.lds_busy <-
-                        counters.lds_busy + cfg.lds_issue_cycles;
-                      counters.lds_insts <- counters.lds_insts + 1;
-                      if profiling then begin
-                        prof.issues.(site) <- prof.issues.(site) + 1;
-                        prof.lds_busy.(site) <-
-                          prof.lds_busy.(site) + cfg.lds_issue_cycles
-                      end;
-                      (match eff with
-                      | Wave.E_mem m ->
-                          counters.lds_lane_ops <-
-                            counters.lds_lane_ops + m.lanes;
-                          if m.mkind = Wave.MAtomic then
-                            counters.atomics <- counters.atomics + 1
-                      | _ -> ());
-                      (match inst_def i with
-                      | Some d -> w.Wave.ready_at.(d) <- now + cfg.lds_latency
-                      | None -> ());
-                      if tracing then
-                        issued s Gpu_trace.Sink.Lds cfg.lds_issue_cycles;
-                      lds_used := true;
-                      issue_done := true
-                    end
-                    else begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note cu.lds_busy_until
-                    end
-                | U_vmem ->
-                    let is_store =
-                      match i with Store (Global, _, _) -> true | _ -> false
-                    in
-                    if !vmem_used || Memsys.(ms.mem_busy_until.(cu.cu_id)) > now
-                    then begin
-                      if tracing then stall s Gpu_trace.Sink.Unit_busy;
-                      if profiling then
-                        prof.stall_unit_busy.(site) <-
-                          prof.stall_unit_busy.(site) + 1;
-                      note Memsys.(ms.mem_busy_until.(cu.cu_id))
-                    end
-                    else if
-                      is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now
-                    then begin
-                      (* Charge the whole blocked span at once: the backlog
-                         cannot change while the store is stalled, and idle
-                         skip-ahead may never rescan the intervening
-                         cycles. [wstall_counted_until] de-overlaps repeat
-                         scans of the same episode, so each blocked cycle
-                         is counted exactly once per CU. *)
-                      let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
-                      let from = max now cu.wstall_counted_until in
-                      if until > from then begin
-                        counters.write_stalled <-
-                          counters.write_stalled + (until - from);
-                        if profiling then
-                          prof.write_stalled.(site) <-
-                            prof.write_stalled.(site) + (until - from);
-                        cu.wstall_counted_until <- until
-                      end;
-                      if tracing then stall s Gpu_trace.Sink.Write_backlog;
-                      if profiling then
-                        prof.stall_write_backlog.(site) <-
-                          prof.stall_write_backlog.(site) + 1;
-                      note until
-                    end
-                    else begin
-                      let eff = Wave.exec w i ~mem:s.mem ~line_bytes:cfg.line_bytes in
-                      (match eff with
-                      | Wave.E_mem m ->
-                          let nlines = max 1 (List.length m.lines) in
-                          (* atomics are processed at the L2: they occupy
-                             the CU's vector memory unit only to issue,
-                             not per line *)
-                          let busy =
-                            if m.mkind = Wave.MAtomic then 8
-                            else 4 + (4 * (nlines - 1))
-                          in
-                          Memsys.(ms.mem_busy_until.(cu.cu_id) <- now + busy);
-                          counters.mem_unit_busy <-
-                            counters.mem_unit_busy + busy;
-                          counters.vmem_insts <- counters.vmem_insts + 1;
-                          if profiling then begin
-                            prof.issues.(site) <- prof.issues.(site) + 1;
-                            prof.mem_unit_busy.(site) <-
-                              prof.mem_unit_busy.(site) + busy
-                          end;
-                          (match i with
-                          | Atomic (A_poll, _, _, _, _) ->
-                              (* every active lane's flag poll is one spin
-                                 iteration (Per_item gives each lane its
-                                 own slot) *)
-                              counters.spin_iterations <-
-                                counters.spin_iterations + m.lanes;
-                              if profiling then
-                                prof.spin_iterations.(site) <-
-                                  prof.spin_iterations.(site) + m.lanes;
-                              if tracing then stall s Gpu_trace.Sink.Spin
-                          | _ -> ());
-                          if tracing then issued s Gpu_trace.Sink.Vmem busy;
-                          (match m.mkind with
-                          | Wave.MLoad ->
-                              counters.global_load_insts <-
-                                counters.global_load_insts + 1;
-                              let t =
-                                if profiling then begin
-                                  (* attribute the cache outcome of this
-                                     load by delta over the shared
-                                     counters, which [load_timed] bumps
-                                     internally *)
-                                  let h1 = counters.l1_hits
-                                  and s1 = counters.l1_misses
-                                  and h2 = counters.l2_hits
-                                  and s2 = counters.l2_misses in
-                                  let t =
-                                    Memsys.load_timed ms ~cu:cu.cu_id ~now
-                                      m.lines
-                                  in
-                                  prof.l1_hits.(site) <-
-                                    prof.l1_hits.(site)
-                                    + (counters.l1_hits - h1);
-                                  prof.l1_misses.(site) <-
-                                    prof.l1_misses.(site)
-                                    + (counters.l1_misses - s1);
-                                  prof.l2_hits.(site) <-
-                                    prof.l2_hits.(site)
-                                    + (counters.l2_hits - h2);
-                                  prof.l2_misses.(site) <-
-                                    prof.l2_misses.(site)
-                                    + (counters.l2_misses - s2);
-                                  t
-                                end
-                                else Memsys.load_timed ms ~cu:cu.cu_id ~now m.lines
-                              in
-                              (match inst_def i with
-                              | Some d -> w.Wave.ready_at.(d) <- t
-                              | None -> ())
-                          | Wave.MStore ->
-                              counters.global_store_insts <-
-                                counters.global_store_insts + 1;
-                              Memsys.store_timed ms ~cu:cu.cu_id ~now m.lines
-                          | Wave.MAtomic ->
-                              counters.atomics <- counters.atomics + 1;
-                              let t =
-                                Memsys.atomic_timed ms ~cu:cu.cu_id ~now m.lines
-                              in
-                              (match inst_def i with
-                              | Some d -> w.Wave.ready_at.(d) <- t
-                              | None -> ()))
-                      | _ -> ());
-                      vmem_used := true;
-                      issue_done := true
-                    end);
-                if !issue_done then begin
-                  if prov_on then prov_check_inst w i;
-                  Wave.consume w;
-                  w.Wave.last_issue <- now;
-                  note (now + 1)
-                end
-              end
-      end
+    (* iterate a stable snapshot: retirement may rebuild the schedule *)
+    let mine = cu.by_simd.(simd) in
+    let m = Array.length mine in
+    let first = ref 0 in
+    while !first < m && mine.(!first).pos < start do incr first done;
+    for k = 0 to m - 1 do
+      let s = mine.((!first + k) mod m) in
+      if s.live then visit cu s simd now
     done;
-    if !other_simd_work || !events then note (now + 1);
-    cu.wake <- !wake
+    if other_simd_work || sc.events then note now (now + 1);
+    cu.wake <- sc.next_wake
   in
 
   (* -------------------- fault injection -------------------- *)
@@ -1069,13 +1075,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             let v = Wave.get_reg s.w r lane in
             Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)));
             if prov_on then begin
-              taint :=
-                Taint_reg
-                  {
-                    t_wave = s.w;
-                    t_reg = r;
-                    t_lanes = Int64.shift_left 1L lane;
-                  };
+              taint := Taint_reg { t_wave = s.w; t_reg = r; t_lane = lane };
               prov.target <- Some Prov.S_vgpr;
               prov.bit <- bit;
               prov.desc <-
@@ -1102,9 +1102,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                 Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)))
               done;
               if prov_on then begin
-                taint :=
-                  Taint_reg
-                    { t_wave = s.w; t_reg = r; t_lanes = s.w.Wave.full_mask };
+                taint := Taint_reg { t_wave = s.w; t_reg = r; t_lane = -1 };
                 prov.target <- Some Prov.S_sgpr;
                 prov.bit <- bit;
                 prov.desc <-
@@ -1130,7 +1128,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
               let c = Char.code (Bytes.get g.lds_mem byte) in
               Bytes.set g.lds_mem byte (Char.chr (c lxor (1 lsl bit)));
               if prov_on then begin
-                taint := Taint_lds { t_grp = g; t_addr = byte land lnot 3 };
+                taint := Taint_lds { t_group = g.g_index; t_addr = byte land lnot 3 };
                 prov.target <- Some Prov.S_lds;
                 prov.bit <- ((byte land 3) * 8) + bit;
                 prov.desc <-

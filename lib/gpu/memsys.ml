@@ -26,7 +26,7 @@ type poison = {
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  data : Gmem.t;
   l1s : Cache.t array;
   l2 : Cache.t;
   mutable dram_next_free : float;
@@ -54,7 +54,7 @@ let create (cfg : Config.t) (counters : Counters.t) ~data =
   }
 
 let check t addr what =
-  if addr < 0 || addr + 4 > Bytes.length t.data then
+  if addr < 0 || addr + 4 > Gmem.size t.data then
     raise (Fault (Printf.sprintf "%s out of bounds at address %d" what addr));
   if addr land 3 <> 0 then
     raise (Fault (Printf.sprintf "unaligned %s at address %d" what addr))
@@ -66,11 +66,11 @@ let check t addr what =
 (** Host/debug read, never poisoned. *)
 let read32 t addr =
   check t addr "load";
-  Gpu_ir.F32.norm (Int32.to_int (Bytes.get_int32_le t.data addr))
+  Gmem.get32 t.data addr
 
 let write32 t addr v =
   check t addr "store";
-  Bytes.set_int32_le t.data addr (Int32.of_int v)
+  Gmem.set32 t.data addr v
 
 let apply_poison t ~cu addr v =
   match t.poison with
@@ -113,39 +113,43 @@ let dram_transfer t ~now =
   t.dram_next_free <- start +. dur;
   int_of_float (start +. dur) + c.dram_latency
 
-(** Timing for a coalesced vector load of [lines] on [cu] at cycle [now]:
-    returns the completion cycle. Updates cache state and counters. *)
-let load_timed t ~cu ~now lines =
+(* An L1 fill may evict a poisoned line; the eviction callback is only
+   needed while poison is live on [cu]. *)
+let l1_access t ~cu line =
+  match t.poison with
+  | Some p when p.p_active && p.p_cu = cu ->
+      Cache.access ~on_evict:(fun old -> clear_poison_on_line t ~cu old)
+        t.l1s.(cu) line
+  | _ -> Cache.access t.l1s.(cu) line
+
+(** Timing for a coalesced vector load of the first [n] entries of
+    [lines] on [cu] at cycle [now]: returns the completion cycle.
+    Updates cache state and counters. *)
+let load_timed t ~cu ~now lines ~n =
   let c = t.cfg in
-  let l1 = t.l1s.(cu) in
   let completion = ref (now + c.l1_latency) in
-  List.iter
-    (fun line ->
-      let hit1 =
-        Cache.access ~on_evict:(fun old -> clear_poison_on_line t ~cu old) l1
-          line
-      in
-      if hit1 then begin
-        t.counters.l1_hits <- t.counters.l1_hits + 1;
-        completion := max !completion (now + c.l1_latency)
+  for i = 0 to n - 1 do
+    let line = lines.(i) in
+    if l1_access t ~cu line then begin
+      t.counters.l1_hits <- t.counters.l1_hits + 1;
+      completion := max !completion (now + c.l1_latency)
+    end
+    else begin
+      t.counters.l1_misses <- t.counters.l1_misses + 1;
+      (* an L1 refill replaces any poisoned copy of this line *)
+      clear_poison_on_line t ~cu line;
+      if Cache.access t.l2 line then begin
+        t.counters.l2_hits <- t.counters.l2_hits + 1;
+        completion := max !completion (now + c.l2_latency)
       end
       else begin
-        t.counters.l1_misses <- t.counters.l1_misses + 1;
-        (* an L1 refill replaces any poisoned copy of this line *)
-        clear_poison_on_line t ~cu line;
-        let hit2 = Cache.access t.l2 line in
-        if hit2 then begin
-          t.counters.l2_hits <- t.counters.l2_hits + 1;
-          completion := max !completion (now + c.l2_latency)
-        end
-        else begin
-          t.counters.l2_misses <- t.counters.l2_misses + 1;
-          t.counters.dram_read_bytes <-
-            t.counters.dram_read_bytes + c.line_bytes;
-          completion := max !completion (dram_transfer t ~now)
-        end
-      end)
-    lines;
+        t.counters.l2_misses <- t.counters.l2_misses + 1;
+        t.counters.dram_read_bytes <-
+          t.counters.dram_read_bytes + c.line_bytes;
+        completion := max !completion (dram_transfer t ~now)
+      end
+    end
+  done;
   !completion
 
 (** Would a store issued now on [cu] exceed the tolerated write backlog?
@@ -162,13 +166,13 @@ let store_stall_until t ~cu =
   int_of_float
     (Float.ceil (t.write_busy_until.(cu) -. float_of_int t.cfg.write_backlog_limit))
 
-(** Timing for a write-through vector store of [lines]: consumes per-CU
-    write bandwidth and device DRAM bandwidth; stores do not block the
-    issuing wave. L1 copies are updated in place (write-through,
+(** Timing for a write-through vector store of [n] lines: consumes
+    per-CU write bandwidth and device DRAM bandwidth; stores do not block
+    the issuing wave. L1 copies are updated in place (write-through,
     no-allocate). *)
-let store_timed t ~cu ~now lines =
+let store_timed t ~cu ~now ~n =
   let c = t.cfg in
-  let nbytes = List.length lines * c.line_bytes in
+  let nbytes = n * c.line_bytes in
   let start = fmax (float_of_int now) t.write_busy_until.(cu) in
   t.write_busy_until.(cu) <-
     start +. (float_of_int nbytes /. c.l2_bytes_per_cycle_per_cu);
@@ -178,18 +182,18 @@ let store_timed t ~cu ~now lines =
   let dur = float_of_int nbytes /. c.dram_bytes_per_cycle in
   t.dram_next_free <- fmax (float_of_int now) t.dram_next_free +. dur
 
-(** Timing for an atomic (executes at the L2; invalidates L1 copies). *)
-let atomic_timed t ~cu ~now lines =
+(** Timing for an atomic over the first [n] entries of [lines]
+    (executes at the L2; invalidates L1 copies). *)
+let atomic_timed t ~cu ~now lines ~n =
   let c = t.cfg in
-  List.iter
-    (fun line ->
-      Cache.invalidate t.l1s.(cu) line;
-      clear_poison_on_line t ~cu line;
-      ignore (Cache.access t.l2 line))
-    lines;
-  t.counters.l2_write_bytes <-
-    t.counters.l2_write_bytes + (List.length lines * 8);
-  now + c.atomic_latency + (4 * (List.length lines - 1))
+  for i = 0 to n - 1 do
+    let line = lines.(i) in
+    Cache.invalidate t.l1s.(cu) line;
+    clear_poison_on_line t ~cu line;
+    ignore (Cache.access t.l2 line)
+  done;
+  t.counters.l2_write_bytes <- t.counters.l2_write_bytes + (n * 8);
+  now + c.atomic_latency + (4 * (n - 1))
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)

@@ -10,7 +10,7 @@ exception Fault of string
 
 type t = {
   cfg : Config.t;
-  data : Bytes.t;
+  data : Gmem.t;
   l1s : Cache.t array;
   l2 : Cache.t;
   mutable dram_next_free : float;
@@ -28,7 +28,9 @@ and poison = {
   mutable p_active : bool;
 }
 
-val create : Config.t -> Counters.t -> data:Bytes.t -> t
+val create : Config.t -> Counters.t -> data:Gmem.t -> t
+(** A memory system over [data]; accesses fault outside
+    [Gmem.size data]. *)
 
 (** {1 Functional access} *)
 
@@ -45,8 +47,9 @@ val store32 : t -> cu:int -> int -> int -> unit
 
 (** {1 Timing} *)
 
-val load_timed : t -> cu:int -> now:int -> int list -> int
-(** Completion cycle of a coalesced load of the given lines. *)
+val load_timed : t -> cu:int -> now:int -> int array -> n:int -> int
+(** Completion cycle of a coalesced load of the first [n] lines of the
+    buffer (ascending, distinct line addresses). *)
 
 val store_would_stall : t -> cu:int -> now:int -> bool
 
@@ -54,8 +57,12 @@ val store_stall_until : t -> cu:int -> int
 (** First cycle at which a store on [cu] would no longer stall (exact:
     the backlog cannot change while the store is blocked). *)
 
-val store_timed : t -> cu:int -> now:int -> int list -> unit
-val atomic_timed : t -> cu:int -> now:int -> int list -> int
+val store_timed : t -> cu:int -> now:int -> n:int -> unit
+(** Charge a write-through store of [n] lines. *)
+
+val atomic_timed : t -> cu:int -> now:int -> int array -> n:int -> int
+(** Completion cycle of an atomic over the first [n] lines of the
+    buffer. *)
 
 (** {1 Fault injection} *)
 

@@ -52,18 +52,20 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
     @param trace a scheduler-event sink; multi-pass launches are spliced
     into one monotonic stream by offsetting each pass's events by the
     cycles already simulated
-    @param profile a per-site collector sized for this benchmark's
-    transformed kernel; every pass charges into the same collector
+    @param profile the per-site collector for the transformed kernel
+    (given that kernel); every pass charges into the same collector
     (passes all run the same kernel, hence the same site numbering)
     @param provenance a fault-propagation record, filled by the pass in
     which [inject] lands
     @param san a sanitizer shadow, attached before host preparation so it
     observes every allocation and host write; all passes check into the
-    same shadow (the sanitizer never perturbs timing or outputs) *)
-let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
-    ?window_cycles ?max_cycles ?usage_override ?inject ?trace ?profile
-    ?provenance ?san (bench : Kernels.Bench.t) (variant : Transform.variant) :
-    summary =
+    same shadow (the sanitizer never perturbs timing or outputs)
+
+    Returns the summary and the transformed kernel the device ran. *)
+let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
+    ?window_cycles ?max_cycles ?usage_override ?inject ?trace
+    ?(profile = fun _ -> None) ?provenance ?san (bench : Kernels.Bench.t)
+    (variant : Transform.variant) : summary * Gpu_ir.Types.kernel =
   let dev = Device.create cfg in
   Device.set_san dev san;
   let prep = bench.prepare dev ~scale in
@@ -73,6 +75,7 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     | [] -> invalid_arg "benchmark produced no launch steps"
   in
   let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
+  let profile = profile kernel in
   let extras = Transform.make_extras variant dev ~nd:nd0 in
   let total = Counters.create () in
   let windows = ref [] in
@@ -135,69 +138,60 @@ let run ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
   let verified =
     match !outcome with Device.Finished -> prep.verify () | _ -> false
   in
-  {
-    bench_id = bench.id;
-    variant;
-    cycles = !cycles;
-    counters = total;
-    windows = Array.of_list (List.rev !windows);
-    outcome = !outcome;
-    verified;
-    occupancy =
-      (match !occupancy with
-      | Some o -> o
-      | None -> failwith "no launch completed");
-    usage = (match !usage with Some u -> u | None -> failwith "no launch");
-    steps = List.length prep.steps;
-    inject_applied = !injected;
-    detection_latency = !latency;
-  }
+  ( {
+      bench_id = bench.id;
+      variant;
+      cycles = !cycles;
+      counters = total;
+      windows = Array.of_list (List.rev !windows);
+      outcome = !outcome;
+      verified;
+      occupancy =
+        (match !occupancy with
+        | Some o -> o
+        | None -> failwith "no launch completed");
+      usage = (match !usage with Some u -> u | None -> failwith "no launch");
+      steps = List.length prep.steps;
+      inject_applied = !injected;
+      detection_latency = !latency;
+    },
+    kernel )
 
-(** Run [bench] under [variant] with a freshly sized per-site profile
-    collector. Returns the summary, the transformed kernel the device
-    executed (the listing the site ids index) and the filled collector —
-    everything the annotated-profile renderer needs. *)
-let run_profiled ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    ?(optimize = false) ?window_cycles ?max_cycles (bench : Kernels.Bench.t)
-    (variant : Transform.variant) :
+let run ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
+    ?inject ?trace ?profile ?provenance ?san bench variant =
+  fst
+    (execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
+       ?inject ?trace ~profile:(fun _ -> profile) ?provenance ?san bench
+       variant)
+
+(** Run [bench] under [variant] with a per-site profile collector sized
+    for the transformed kernel. Returns the summary, the transformed
+    kernel the device executed (the listing the site ids index) and the
+    filled collector — everything the annotated-profile renderer needs. *)
+let run_profiled ?cfg ?scale ?optimize ?window_cycles ?max_cycles
+    (bench : Kernels.Bench.t) (variant : Transform.variant) :
     summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t =
-  (* Rebuild the transformed kernel exactly as [run] will, to size the
-     collector; the throwaway device only serves [prepare]'s geometry. *)
-  let dev = Device.create cfg in
-  let prep = bench.prepare dev ~scale in
-  let nd0 =
-    match prep.steps with
-    | s :: _ -> s.Kernels.Bench.nd
-    | [] -> invalid_arg "benchmark produced no launch steps"
+  let collector = ref None in
+  let profile kernel =
+    let c = Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel) in
+    collector := Some c;
+    Some c
   in
-  let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
-  let collector =
-    Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel)
+  let s, kernel =
+    execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ~profile bench
+      variant
   in
-  let s =
-    run ~cfg ~scale ~optimize ?window_cycles ?max_cycles ~profile:collector
-      bench variant
-  in
-  (s, kernel, collector)
+  (s, kernel, Option.get !collector)
 
 (** Run [bench] under [variant] with a fresh sanitizer shadow. Returns
     the summary, the transformed kernel (for resolving finding site ids
     to instructions) and the shadow holding any findings. *)
-let run_sanitized ?(cfg = Gpu_sim.Config.default) ?(scale = 1)
-    ?(optimize = false) ?window_cycles ?max_cycles (bench : Kernels.Bench.t)
-    (variant : Transform.variant) :
+let run_sanitized ?cfg ?scale ?optimize ?window_cycles ?max_cycles
+    (bench : Kernels.Bench.t) (variant : Transform.variant) :
     summary * Gpu_ir.Types.kernel * Gpu_san.Shadow.t =
-  let dev = Device.create cfg in
-  let prep = bench.prepare dev ~scale in
-  let nd0 =
-    match prep.steps with
-    | s :: _ -> s.Kernels.Bench.nd
-    | [] -> invalid_arg "benchmark produced no launch steps"
-  in
-  let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
   let shadow = Gpu_san.Shadow.create () in
-  let s =
-    run ~cfg ~scale ~optimize ?window_cycles ?max_cycles ~san:shadow bench
+  let s, kernel =
+    execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ~san:shadow bench
       variant
   in
   (s, kernel, shadow)

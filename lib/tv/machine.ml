@@ -3,10 +3,11 @@
     Translation validation needs many {e whole-kernel} executions on a
     tiny synthetic launch: one per candidate fault-injection experiment.
     The timed device simulator carries schedulers, caches and power
-    models that are irrelevant here, so this module drives the same
-    {!Gpu_sim.Wave} interpreter (identical functional semantics: SIMT
-    masks, reconvergence, swizzles, F32 arithmetic) against a
-    deterministic round-robin scheduler and hash-table memories:
+    models that are irrelevant here, so this module runs the same
+    {!Gpu_sim.Wave} engine (the kernel lowered by {!Gpu_sim.Wave.decode}:
+    identical functional semantics for SIMT masks, reconvergence,
+    swizzles, F32 arithmetic) under a deterministic round-robin
+    scheduler and hash-table memories:
 
     - all waves of all groups advance one instruction per scheduling
       pass, so the Inter-Group flag hand-off protocol makes progress
@@ -32,7 +33,6 @@
     cap plays the watchdog: runs that exceed it report [Hung]. *)
 
 open Gpu_ir.Types
-module Site = Gpu_ir.Site
 module Wave = Gpu_sim.Wave
 module Geom = Gpu_sim.Geom
 
@@ -128,7 +128,6 @@ exception Done of outcome
 
 let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
   let k = plan.p_kernel in
-  let abody, _nsites = Site.annotate k.body in
   let nd = plan.p_nd in
   Geom.validate nd;
   let ngroups = Geom.total_groups nd in
@@ -138,6 +137,11 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
     match List.find_opt (fun (n, _, _) -> n = name) offsets with
     | Some (_, o, _) -> o
     | None -> invalid_arg ("machine: unknown LDS allocation " ^ name)
+  in
+  let prog =
+    Wave.decode k ~lds_base ~line_bytes:0 ~arg:(fun idx ->
+        if idx < Array.length plan.p_args then plan.p_args.(idx)
+        else invalid_arg "machine: argument index out of range")
   in
   let global : (int, int) Hashtbl.t = Hashtbl.create 1024 in
   List.iter (fun (a, v) -> Hashtbl.replace global a v) plan.p_init;
@@ -205,35 +209,24 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
           old
         in
         let mem : Wave.mem_ops =
-          {
-            mload = mem_load;
-            mstore = mem_store;
-            matomic;
-            mcas;
-            arg =
-              (fun idx ->
-                if idx < Array.length plan.p_args then plan.p_args.(idx)
-                else invalid_arg "machine: argument index out of range");
-            lds_base;
-            view = { Geom.nd; gcoord = Geom.group_coord nd g };
-            msan = None;
-          }
+          { mload = mem_load; mstore = mem_store; matomic; mcas; msan = None }
         in
+        let view = { Geom.nd; gcoord = Geom.group_coord nd g } in
         let nwaves = (items + 63) / 64 in
         let waves =
           Array.init nwaves (fun w ->
-              Wave.create ~wid:w ~nregs:k.nregs
+              Wave.create prog ~wid:w ~nregs:k.nregs
                 ~nlanes:(min 64 (items - (w * 64)))
-                ~flat_base:(w * 64) ~body:abody ~simd:0)
+                ~flat_base:(w * 64) ~view ~simd:0)
         in
         (g, waves, mem))
   in
-  let try_inject (w : Wave.t) g i =
+  let try_inject (w : Wave.t) g (e : Wave.entry) =
     match inject with
     | Some ij when (not !injected) && ij.ij_site = !cur_site -> (
-        match inst_def i with
-        | None -> ()
-        | Some d ->
+        match e.def with
+        | -1 -> ()
+        | d ->
             let lane_ok l =
               let flat = w.Wave.flat_base + l in
               match ij.ij_sel with
@@ -248,7 +241,7 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
                pair at once (a single-lane flip can land on a lane
                whose guarded store never executes and test nothing). *)
             for l = 0 to w.Wave.nlanes - 1 do
-              if Wave.lane_active w.Wave.mask l && lane_ok l then begin
+              if Wave.lane_active w l && lane_ok l then begin
                 let v = Wave.get_reg w d l in
                 Wave.set_reg w d l
                   (Gpu_ir.F32.norm (v lxor (1 lsl ij.ij_bit)));
@@ -272,17 +265,18 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
             Array.iter
               (fun w ->
                 if w.Wave.state = Wave.Running then begin
-                  match Wave.peek w ~now:0 ~on_branch:(fun () -> ()) with
-                  | Wave.P_inst (sid, i) ->
-                      cur_site := sid;
+                  match Wave.peek w ~now:0 ~on_branch:ignore with
+                  | Wave.P_inst ->
+                      let e = w.Wave.cur in
+                      cur_site := e.site;
                       incr steps;
                       if !steps > step_limit then raise (Done Hung);
                       progress := true;
-                      let eff = Wave.exec w i ~mem ~line_bytes:64 in
-                      (match eff with
-                      | Wave.E_trap true -> raise (Done (Trapped sid))
+                      let r = Wave.exec w e ~mem in
+                      (match e.inst with
+                      | Trap _ when r <> 0 -> raise (Done (Trapped e.site))
                       | _ -> ());
-                      try_inject w g i;
+                      try_inject w g e;
                       Wave.consume w
                   | Wave.P_barrier_arrived | Wave.P_done -> progress := true
                   | Wave.P_stall ->

@@ -84,12 +84,46 @@ let test_lds_coverage_difference () =
   let t_plus = C.run ~n:12 ~target:Sim.Device.T_lds ~seed:17 e_plus in
   check Alcotest.int "+LDS: no SDC through LDS" 0 t_plus.C.sdc
 
+(* One seeded injection with provenance per structure into BlkSch
+   Intra-Group+LDS. The digests (summary with counters and windows, plus
+   the provenance record) were recorded from the continuation-stack
+   interpreter that preceded the decoded wave engine; the SGPR flip
+   drives a store to 1 GiB, past the device's memory, so it also pins
+   the wild-access fault of the paged memory image. *)
+let test_seeded_injections_pinned () =
+  let bench = Kernels.Registry.find "BlkSch" in
+  List.iter
+    (fun (name, target, at_cycle, iseed, outcome, digest) ->
+      let prov = Gpu_prof.Provenance.create () in
+      let s =
+        Harness.Run.run ~inject:{ Sim.Device.at_cycle; target; iseed }
+          ~provenance:prov bench T.intra_plus_lds
+      in
+      let b = Buffer.create 4096 in
+      Pin.add_summary b s;
+      Pin.add_provenance b prov;
+      check Alcotest.string (name ^ " outcome") outcome
+        (Harness.Run.outcome_name s.Harness.Run.outcome);
+      check Alcotest.string (name ^ " digest") digest (Pin.hex b))
+    [
+      ("vgpr", Sim.Device.T_vgpr, 1800, 11, "detected",
+       "10c0c4082a63708ce6ac82757eee8973");
+      ("sgpr", Sim.Device.T_sgpr, 600, 3,
+       "crashed: store out of bounds at address 1073807616",
+       "d8981613d7305243e94aa402d06b1e44");
+      ("lds", Sim.Device.T_lds, 1500, 13, "finished",
+       "f019f6f3dc45f5e6631d7760ccff3b7c");
+      ("l1", Sim.Device.T_l1, 1500, 14, "finished",
+       "fa59e644cc89c5cd964d91bf44d5b8ee");
+    ]
+
 let suite =
   [
     tc "tally bookkeeping" `Quick test_tally_bookkeeping;
     tc "classification" `Quick test_classification;
     tc "lds injection needs lds" `Quick test_lds_injection_needs_lds;
     tc "vgpr injection applies" `Quick test_vgpr_injection_applies;
+    tc "seeded injections pinned" `Quick test_seeded_injections_pinned;
     tc "original never detects" `Slow test_original_never_detects;
     tc "intra covers VGPR" `Slow test_intra_vgpr_covered;
     tc "+LDS covers LDS" `Slow test_lds_coverage_difference;

@@ -176,18 +176,33 @@ let campaign_suite =
 (* Determinism: report text is byte-identical at any -j                *)
 (* ------------------------------------------------------------------ *)
 
+(* Digest of every fig2 run (cycles, all counters, power windows,
+   outcome, verification), recorded from the continuation-stack
+   interpreter that preceded the decoded wave engine. *)
+let fig2_runs_digest = "e2407b092bca93f418659b485b9ed5ce"
+
 let test_fig2_j_independence () =
   let fig2_at jobs =
     let ctx = Harness.Experiments.create_ctx ~jobs () in
     let text = Harness.Experiments.fig2 ctx in
+    let runs = Harness.Experiments.cached_summaries ctx in
     Harness.Experiments.shutdown ctx;
-    text
+    (text, runs)
   in
-  let t1 = fig2_at 1 in
-  let t4 = fig2_at 4 in
+  let t1, runs = fig2_at 1 in
+  let t4, _ = fig2_at 4 in
   check Alcotest.bool "fig2 text is non-trivial" true
     (String.length t1 > 200);
-  check Alcotest.string "fig2 -j1 == fig2 -j4" t1 t4
+  check Alcotest.string "fig2 -j1 == fig2 -j4" t1 t4;
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (label, s) ->
+      Buffer.add_string b label;
+      Buffer.add_char b '\n';
+      Pin.add_summary b s)
+    runs;
+  check Alcotest.int "fig2 runs" 48 (List.length runs);
+  check Alcotest.string "fig2 runs digest" fig2_runs_digest (Pin.hex b)
 
 let determinism_suite =
   [ tc "determinism: fig2 at -j1 vs -j4" `Slow test_fig2_j_independence ]

@@ -477,7 +477,7 @@ let suite =
 
 let mk_memsys ?(cfg = Sim.Config.small) () =
   let counters = Sim.Counters.create () in
-  (Sim.Memsys.create cfg counters ~data:(Bytes.make (1 lsl 20) '\000'), counters, cfg)
+  (Sim.Memsys.create cfg counters ~data:(Sim.Gmem.create (1 lsl 20)), counters, cfg)
 
 let test_memsys_functional () =
   let ms, _, _ = mk_memsys () in
@@ -494,22 +494,22 @@ let test_memsys_functional () =
 let test_memsys_latency_ladder () =
   let ms, c, cfg = mk_memsys () in
   (* cold: DRAM; second access: L1 hit *)
-  let t1 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ] in
-  let t2 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ] in
+  let t1 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] ~n:1 in
+  let t2 = Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] ~n:1 in
   check Alcotest.bool "cold access slower than DRAM latency" true
     (t1 >= cfg.dram_latency);
   check Alcotest.int "warm access at L1 latency" cfg.l1_latency t2;
   check Alcotest.int "one miss one hit" 1 c.Sim.Counters.l1_hits;
   (* a different CU misses its own L1 but hits the shared L2 *)
-  let t3 = Sim.Memsys.load_timed ms ~cu:1 ~now:0 [ 0 ] in
+  let t3 = Sim.Memsys.load_timed ms ~cu:1 ~now:0 [| 0 |] ~n:1 in
   check Alcotest.int "other CU hits L2" cfg.l2_latency t3
 
 let test_memsys_dram_bandwidth_serializes () =
   let ms, _, cfg = mk_memsys () in
   (* many distinct lines at once: completion must exceed latency by the
      serialized transfer time *)
-  let lines = List.init 64 (fun i -> i * cfg.line_bytes) in
-  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:0 lines in
+  let lines = Array.init 64 (fun i -> i * cfg.line_bytes) in
+  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:0 lines ~n:64 in
   let transfer =
     int_of_float (float_of_int (64 * cfg.line_bytes) /. cfg.dram_bytes_per_cycle)
   in
@@ -519,23 +519,22 @@ let test_memsys_dram_bandwidth_serializes () =
     (t >= transfer)
 
 let test_memsys_write_backlog () =
-  let ms, _, cfg = mk_memsys () in
+  let ms, _, _ = mk_memsys () in
   check Alcotest.bool "no stall when idle" false
     (Sim.Memsys.store_would_stall ms ~cu:0 ~now:0);
   (* flood the write port *)
-  for i = 0 to 63 do
-    Sim.Memsys.store_timed ms ~cu:0 ~now:0
-      (List.init 16 (fun j -> ((i * 16) + j) * cfg.line_bytes))
+  for _ = 0 to 63 do
+    Sim.Memsys.store_timed ms ~cu:0 ~now:0 ~n:16
   done;
   check Alcotest.bool "backlog forces stall" true
     (Sim.Memsys.store_would_stall ms ~cu:0 ~now:0)
 
 let test_memsys_atomic_invalidates_l1 () =
   let ms, _, cfg = mk_memsys () in
-  ignore (Sim.Memsys.load_timed ms ~cu:0 ~now:0 [ 0 ]);
-  ignore (Sim.Memsys.atomic_timed ms ~cu:0 ~now:0 [ 0 ]);
+  ignore (Sim.Memsys.load_timed ms ~cu:0 ~now:0 [| 0 |] ~n:1);
+  ignore (Sim.Memsys.atomic_timed ms ~cu:0 ~now:0 [| 0 |] ~n:1);
   (* after the atomic, the next load must miss the L1 again *)
-  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:1000 [ 0 ] in
+  let t = Sim.Memsys.load_timed ms ~cu:0 ~now:1000 [| 0 |] ~n:1 in
   check Alcotest.bool "L1 copy invalidated" true (t > 1000 + cfg.l1_latency)
 
 (* ------------------------------------------------------------------ *)
@@ -588,6 +587,42 @@ let prop_occupancy_monotone_vgpr =
       in
       occ hi <= occ lo)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation cost of the issue loop                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A deterministic cost gate: one fixed single-domain launch (SF under
+   Intra-Group+LDS, default device) allocates the same minor-heap words
+   on every run, so the bound can be tight where a wall-clock bound
+   cannot. The issue loop must stay free of per-instruction allocation;
+   this launch measures ~18 words per issue, decoding and dispatch
+   included. *)
+let test_launch_minor_words_per_issue () =
+  let module T = Rmt_core.Transform in
+  let bench = Kernels.Registry.find "SF" in
+  let dev = Sim.Device.create Sim.Config.default in
+  let prep = bench.prepare dev ~scale:1 in
+  let step = List.hd prep.steps in
+  let v = T.intra_plus_lds in
+  let kernel = Harness.Run.transformed_kernel bench v ~nd:step.nd in
+  let extras = T.make_extras v dev ~nd:step.nd in
+  let nd = T.map_ndrange v step.nd in
+  let args = step.args @ extras.ex_args in
+  let w0 = Gc.minor_words () in
+  let r = Sim.Device.launch dev kernel ~nd ~args in
+  let words = Gc.minor_words () -. w0 in
+  let c = r.Sim.Device.counters in
+  let issues =
+    c.Sim.Counters.valu_insts + c.salu_insts + c.vmem_insts + c.lds_insts
+  in
+  check Alcotest.bool "launch finished" true
+    (r.Sim.Device.outcome = Sim.Device.Finished);
+  check Alcotest.int "issued wave instructions" 53208 issues;
+  let per_issue = words /. float_of_int issues in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per issue <= 40" per_issue)
+    true (per_issue <= 40.0)
+
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -604,5 +639,6 @@ let suite =
       tc "memsys: dram bandwidth" `Quick test_memsys_dram_bandwidth_serializes;
       tc "memsys: write backlog" `Quick test_memsys_write_backlog;
       tc "memsys: atomics invalidate L1" `Quick test_memsys_atomic_invalidates_l1;
+      tc "alloc: minor words per issue" `Quick test_launch_minor_words_per_issue;
     ]
   @ qsuite

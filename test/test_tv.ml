@@ -338,6 +338,54 @@ let test_lint_tmr_static_only_skip () =
       | _ -> Alcotest.fail "JSON skip_kind is not \"static_only\"")
   | _ -> Alcotest.fail "entry JSON is not an object"
 
+(* ------------------------------------------------------------------ *)
+(* Machine exit-store streams, pinned                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Per flavor (baseline + the five validated targets), the Machine's
+   store streams, outcome and step count for the original plan, the
+   transformed plan, and the transformed plan with one injected flip
+   (the first site in the second half of the body that writes a
+   register). Recorded from the continuation-stack interpreter that
+   preceded the decoded wave engine. *)
+let machine_digests =
+  [
+    ("BinS", "baseline", "8b2093cfa4bcf35393f0033ef7011ace");
+    ("BinS", "intra+lds", "b70796e685c43b36aa091d13dcbfb162");
+    ("BinS", "intra-lds", "b70796e685c43b36aa091d13dcbfb162");
+    ("BinS", "intra+fast", "9c18a900e0fd9b396017d0f9fd650819");
+    ("BinS", "inter", "39b4ed237c8a71b6b943e85d5ea8e4d9");
+    ("BinS", "tmr", "3c41b4eff5c96e27c29a7b27c47d20cc");
+    ("FW", "baseline", "e5bf851b69600405585d5b7e64884737");
+    ("FW", "intra+lds", "ec1fde41edfe29fb4be5a265f7074a46");
+    ("FW", "intra-lds", "ec1fde41edfe29fb4be5a265f7074a46");
+    ("FW", "intra+fast", "7bee2b4c5e9147767a87e8e33e45a4d9");
+    ("FW", "inter", "33571fb8d59b68d8e17530b3c635704d");
+    ("FW", "tmr", "818de690cf0959b0b36ec9daebfaf5fe");
+  ]
+
+let test_machine_streams_pinned () =
+  List.iter
+    (fun (id, tname, digest) ->
+      let k0 = (Kernels.Registry.find id).Kernels.Bench.make_kernel () in
+      let target = List.assoc tname Harness.Lint.all_targets in
+      let subj = Simrel.subject target k0 in
+      let b = Buffer.create 4096 in
+      Pin.add_machine b (Gpu_tv.Machine.run subj.Simrel.s_plan_orig);
+      Pin.add_machine b (Gpu_tv.Machine.run subj.Simrel.s_plan_rmt);
+      let insts = Gpu_ir.Site.insts subj.Simrel.s_transformed in
+      let n = Array.length insts in
+      let site = ref (-1) in
+      for i = n - 1 downto n / 2 do
+        if Gpu_ir.Types.inst_def insts.(i) <> None then site := i
+      done;
+      let inject =
+        { Gpu_tv.Machine.ij_site = !site; ij_sel = Gpu_tv.Machine.Any; ij_bit = 5 }
+      in
+      Pin.add_machine b (Gpu_tv.Machine.run ~inject subj.Simrel.s_plan_rmt);
+      check Alcotest.string (id ^ " " ^ tname) digest (Pin.hex b))
+    machine_digests
+
 let suite =
   [
     tc "registry accepted under every flavor" `Slow test_registry_accepted;
@@ -353,4 +401,5 @@ let suite =
     tc "lint harness clean + JSON envelope" `Quick test_lint_bench_clean_json;
     tc "lint harness: TMR skip is static_only" `Quick
       test_lint_tmr_static_only_skip;
+    tc "machine exit-store streams pinned" `Quick test_machine_streams_pinned;
   ]
