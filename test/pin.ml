@@ -51,3 +51,34 @@ let add_machine b (r : Machine.result) =
     keys
 
 let hex b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_record b (r : Gpu_trace.Sink.record) =
+  Buffer.add_string b (Gpu_trace.Sink.record_to_string r);
+  Buffer.add_char b '\n'
+
+(* A trace sink that renders every record into [b]. *)
+let buffer_sink b =
+  { Gpu_trace.Sink.emit = (fun ~at ev -> add_record b { Gpu_trace.Sink.at; ev }) }
+
+let add_collector b (c : Gpu_prof.Collector.t) =
+  let arr name a =
+    Printf.bprintf b "%s:" name;
+    Array.iter (Printf.bprintf b " %d") a;
+    Buffer.add_char b '\n'
+  in
+  Printf.bprintf b "nsites=%d\n" c.nsites;
+  arr "issues" c.issues;
+  arr "valu_busy" c.valu_busy;
+  arr "salu_busy" c.salu_busy;
+  arr "mem_unit_busy" c.mem_unit_busy;
+  arr "lds_busy" c.lds_busy;
+  arr "write_stalled" c.write_stalled;
+  arr "spin_iterations" c.spin_iterations;
+  arr "stall_scoreboard" c.stall_scoreboard;
+  arr "stall_unit_busy" c.stall_unit_busy;
+  arr "stall_write_backlog" c.stall_write_backlog;
+  arr "stall_barrier" c.stall_barrier;
+  arr "l1_hits" c.l1_hits;
+  arr "l1_misses" c.l1_misses;
+  arr "l2_hits" c.l2_hits;
+  arr "l2_misses" c.l2_misses

@@ -17,4 +17,5 @@ let () =
       ("prof", Test_prof.suite);
       ("san", Test_san.suite);
       ("tv", Test_tv.suite);
+      ("probe", Test_probe.suite);
     ]
