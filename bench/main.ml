@@ -96,7 +96,7 @@ let micro_tests () =
               mstore = (fun _ _ _ -> ());
               matomic = (fun _ _ _ _ -> 0);
               mcas = (fun _ _ _ _ -> 0);
-              msan = None;
+              observe = None;
             }
           in
           fun () -> ignore (Gpu_sim.Wave.exec w e ~mem)));

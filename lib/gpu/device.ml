@@ -17,8 +17,11 @@
     own waves, reading readiness, unit and destination from the decoded
     instruction; the other SIMDs' waves matter only through a count of
     running waves. The issue loop allocates nothing per scan or per
-    instruction beyond what observers (trace, profile, provenance,
-    sanitizer) ask for.
+    instruction beyond what observers ask for.
+
+    Probes: a launch folds its observers (trace sink, profile collector,
+    provenance record, sanitizer shadow) into one {!Probe.t} option at
+    its start, and each observable program point tests it once.
 
     The simulator is cycle-stepped but skips ahead over provably idle
     periods, so spin-heavy Inter-Group RMT kernels remain tractable. *)
@@ -27,7 +30,6 @@ open Gpu_ir.Types
 module Regpressure = Gpu_ir.Regpressure
 module Uniformity = Gpu_ir.Uniformity
 module F32 = Gpu_ir.F32
-module Prov = Gpu_prof.Provenance
 
 (* Scheduler-event log ("gpu.device" source): dispatches, retirements,
    barrier releases, fault injections and detections, at debug level.
@@ -66,10 +68,7 @@ type t = {
   cfg : Config.t;
   data : Gmem.t;  (** global memory, paged: creation costs no zero-fill *)
   mutable alloc_ptr : int;
-  mutable san : Gpu_san.Shadow.t option;
-      (** dynamic sanitizer shadow; attach with {!set_san} before the
-          host initializes buffers so allocation ranges and host writes
-          are tracked. [None] (the default) keeps every hook dormant. *)
+  mutable san : Gpu_san.Shadow.t option;  (** see {!set_san} *)
 }
 
 let create (cfg : Config.t) =
@@ -89,17 +88,13 @@ let alloc dev bytes =
   if addr + bytes > Gmem.size dev.data then
     failwith "Device.alloc: out of device memory";
   dev.alloc_ptr <- addr + bytes;
-  (match dev.san with
-  | Some s -> Gpu_san.Shadow.note_alloc s ~addr ~size:bytes
-  | None -> ());
+  Probe.host_alloc dev.san ~addr ~size:bytes;
   { addr; size = bytes }
 
 (** Release all buffers (bump-allocator reset). *)
 let free_all dev =
   dev.alloc_ptr <- 256;
-  match dev.san with
-  | Some s -> Gpu_san.Shadow.reset_allocs s
-  | None -> ()
+  Probe.host_free_all dev.san
 
 let check_idx buf i =
   if i < 0 || (i * 4) + 4 > buf.size then
@@ -107,9 +102,7 @@ let check_idx buf i =
 
 let write_i32 dev buf i v =
   check_idx buf i;
-  (match dev.san with
-  | Some s -> Gpu_san.Shadow.host_write s (buf.addr + (i * 4))
-  | None -> ());
+  Probe.host_write dev.san (buf.addr + (i * 4));
   Gmem.set32 dev.data (buf.addr + (i * 4)) v
 
 let read_i32 dev buf i =
@@ -181,17 +174,6 @@ type scan = {
 
 exception Trap_detected
 
-(* Which hardware structure currently holds the injected corrupted value.
-   Tracked only while a provenance record is attached and only until the
-   first consuming instruction is found. *)
-type taint =
-  | Taint_none
-  | Taint_reg of { t_wave : Wave.t; t_reg : int; t_lane : int }
-      (** [t_lane] is -1 for a scalar register (every lane) *)
-  | Taint_lds of { t_group : int; t_addr : int }
-      (** word-aligned byte address within the group's LDS *)
-  | Taint_l1
-
 (* ------------------------------------------------------------------ *)
 (* Launch                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -204,17 +186,9 @@ type launch_opts = {
   window_cycles : int option;
   inject : inject_plan option;
   verify_kernel : bool;
-  trace : Gpu_trace.Sink.t option;
-      (** scheduler-event sink; [None] (the default) keeps the issue loop
-          free of event allocation *)
+  trace : Gpu_trace.Sink.t option;  (** observers, see {!Probe} *)
   profile : Gpu_prof.Collector.t option;
-      (** per-site profile collector, sized by {!Gpu_ir.Site.count} for
-          this kernel; [None] (the default) keeps the issue loop free of
-          per-site charging, mirroring the [trace] guard *)
   provenance : Gpu_prof.Provenance.t option;
-      (** fault-propagation record filled in during an injected run:
-          where the flip landed, the first consuming instruction site,
-          and the flip-to-detect distance *)
   scan_every_cycle : bool;
       (** debug: disable idle skip-ahead and scan every CU every cycle.
           Slower but timing-equivalent; used to cross-check the stall
@@ -316,17 +290,8 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           wstall_counted_until = 0;
         })
   in
-  (* Tracing: [emit] is only reached behind [tracing], so a disabled run
-     neither allocates events nor takes the indirect call. *)
-  let tracing = opts.trace <> None in
-  let emit at ev =
-    match opts.trace with
-    | Some s -> s.Gpu_trace.Sink.emit ~at ev
-    | None -> ()
-  in
   let next_group = ref 0 in
   let groups_completed = ref 0 in
-  let detections = ref 0 in
   let inject_pending = ref opts.inject in
   let inject_applied = ref false in
   let injected_at = ref None in
@@ -351,143 +316,25 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       ~arg:(fun idx -> arg_values.(idx))
       ~line_bytes:cfg.line_bytes
   in
-  let nsites = Wave.nsites prog in
 
-  (* -------------------- profiling / provenance -------------------- *)
-  let profiling = opts.profile <> None in
-  let prof : Gpu_prof.Collector.t =
-    match opts.profile with
-    | Some p ->
-        if p.Gpu_prof.Collector.nsites <> nsites then
-          invalid_arg
-            (Printf.sprintf
-               "launch: profile collector has %d sites but kernel %s has %d"
-               p.Gpu_prof.Collector.nsites kernel.kname nsites);
-        p
-    | None -> Gpu_prof.Collector.create ~nsites:0
-  in
-  let prov_on = opts.provenance <> None in
-  let prov : Prov.t =
-    match opts.provenance with Some p -> p | None -> Prov.create ()
-  in
-  (* Sanitizer: one [san_on] test guards every hook in the issue loop,
-     mirroring [tracing]/[profiling]; the shadow only observes, so a
-     sanitized run is timing- and output-identical. *)
-  let san_on = dev.san <> None in
-  (match dev.san with
-  | Some s -> Gpu_san.Shadow.begin_launch s
-  | None -> ());
-  let san_set_site =
-    match dev.san with
-    | Some s -> fun site -> Gpu_san.Shadow.set_site s site
-    | None -> fun _ -> ()
-  in
-  let san_barrier_release =
-    match dev.san with
-    | Some s -> fun group -> Gpu_san.Shadow.barrier_release s ~group
-    | None -> fun _ -> ()
-  in
-  let taint = ref Taint_none in
-  (* Instruction at the head of the issuing wave; consulted by the
-     memory closures when they observe a tainted read. *)
-  let prov_cur : Wave.entry option ref = ref None in
-  let prov_now = ref 0 in
-  let issued_insts () =
-    counters.valu_insts + counters.salu_insts + counters.vmem_insts
-    + counters.lds_insts
-  in
-  let prov_record_use () =
-    if prov.first_use = None then
-      match !prov_cur with
-      | Some e ->
-          prov.first_use <-
-            Some
-              {
-                Prov.u_site = e.Wave.site;
-                u_cycle = !prov_now;
-                u_inst_index = issued_insts ();
-                u_inst = Gpu_ir.Pp.string_of_inst e.Wave.inst;
-              }
-      | None -> ()
-  in
-  (* Register-taint bookkeeping at issue: a read of the tainted lanes is
-     consumption; a full overwrite of the tainted lanes before any read
-     kills the fault (dead-value masking). Swizzle reads across lanes,
-     so it consumes regardless of the tainted lane's active bit. *)
-  let prov_check_inst (w : Wave.t) (e : Wave.entry) =
-    match !taint with
-    | Taint_reg { t_wave; t_reg; t_lane }
-      when t_wave == w && prov.first_use = None ->
-        let is_swizzle = match e.inst with Swizzle _ -> true | _ -> false in
-        let some_active, all_active =
-          if t_lane >= 0 then
-            let a = Wave.lane_active w t_lane in
-            (a, a)
-          else
-            let n = Wave.active_lanes w in
-            (n > 0, n = w.Wave.nlanes)
-        in
-        let reads =
-          Array.exists (fun r -> r = t_reg) e.uses
-          && (is_swizzle || some_active)
-        in
-        if reads then prov_record_use ()
-        else if e.def = t_reg && all_active then begin
-          taint := Taint_none;
-          prov.overwritten <- true
-        end
-    | _ -> ()
+  (* -------------------- observers -------------------- *)
+  (* Every attached observer behind one probe; each program point below
+     tests [probe] once. *)
+  let probe =
+    Probe.compose
+      [
+        Option.map Probe.of_sink opts.trace;
+        Option.map
+          (Probe.of_collector ~counters ~kname:kernel.kname
+             ~nsites:(Wave.nsites prog))
+          opts.profile;
+        Option.map (Probe.of_provenance ~counters ~ms) opts.provenance;
+        Option.map (Probe.of_shadow ~ms) dev.san;
+      ]
   in
 
   (* -------------------- group dispatch -------------------- *)
   let make_mem_ops ~g_index ~(g_lds : Bytes.t) ~cu_id : Wave.mem_ops =
-    let msan =
-      match dev.san with
-      | None -> None
-      | Some sh ->
-          let lds_bytes = Bytes.length g_lds in
-          Some
-            (fun (w : Wave.t) kind sp addr lane value ->
-              let coord =
-                {
-                  Gpu_san.Shadow.c_group = g_index;
-                  c_wave = w.Wave.wid;
-                  c_item = w.Wave.flat_base + lane;
-                }
-              in
-              let store = kind = Wave.MStore in
-              let kind =
-                match kind with
-                | Wave.MLoad -> Gpu_san.Shadow.Read
-                | Wave.MStore -> Gpu_san.Shadow.Write
-                | Wave.MAtomic when value = 0 -> Gpu_san.Shadow.Atomic_read
-                | Wave.MAtomic -> Gpu_san.Shadow.Atomic_rw
-              in
-              match sp with
-              | Global ->
-                  (* a store of the word's current contents is benign:
-                     unobservable, hence race-free (read the old value
-                     only for in-bounds addresses — OOB stores must
-                     reach the shadow's range check, not fault here) *)
-                  let unchanged =
-                    store
-                    && addr land 3 = 0
-                    && Gpu_san.Shadow.in_some_range sh addr
-                    && Memsys.read32 ms addr = value
-                  in
-                  Gpu_san.Shadow.global_access sh ~coord ~kind ~unchanged
-                    ~addr ()
-              | Local ->
-                  let unchanged =
-                    store
-                    && addr >= 0
-                    && addr land 3 = 0
-                    && addr + 4 <= lds_bytes
-                    && Int32.to_int (Bytes.get_int32_le g_lds addr) = value
-                  in
-                  Gpu_san.Shadow.lds_access sh ~coord ~kind ~unchanged ~addr
-                    ~lds_bytes ())
-    in
     let lds_check addr what =
       if addr < 0 || addr + 4 > Bytes.length g_lds then
         raise
@@ -497,75 +344,41 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     in
     let lds_read addr =
       lds_check addr "load";
-      if prov_on then
-        (match !taint with
-        | Taint_lds { t_group; t_addr }
-          when t_group = g_index && addr = t_addr && prov.first_use = None ->
-            prov_record_use ()
-        | _ -> ());
       F32.norm (Int32.to_int (Bytes.get_int32_le g_lds addr))
     in
-    let lds_write addr v =
-      lds_check addr "store";
-      if prov_on then
-        (match !taint with
-        | Taint_lds { t_group; t_addr } when t_group = g_index && addr = t_addr ->
-            (* overwrite refreshes the word; a never-read fault is dead *)
-            taint := Taint_none;
-            if prov.first_use = None then prov.overwritten <- true
-        | _ -> ());
-      Bytes.set_int32_le g_lds addr (Int32.of_int v)
+    (* uncached reads: atomics are processed at the L2 *)
+    let read sp a =
+      match sp with Global -> Memsys.read32 ms a | Local -> lds_read a
     in
-    let global_load a =
-      if prov_on then begin
-        match !taint with
-        | Taint_l1 when prov.first_use = None ->
-            (* poison is applied on the cached path only: a load whose
-               value differs from the clean image consumed the fault *)
-            let clean = Memsys.read32 ms a in
-            let v = Memsys.load32 ms ~cu:cu_id a in
-            if v <> clean then prov_record_use ();
-            v
-        | _ -> Memsys.load32 ms ~cu:cu_id a
-      end
-      else Memsys.load32 ms ~cu:cu_id a
+    let store sp a v =
+      match sp with
+      | Global -> Memsys.store32 ms ~cu:cu_id a v
+      | Local ->
+          lds_check a "store";
+          Bytes.set_int32_le g_lds a (Int32.of_int v)
     in
     {
       mload =
         (fun sp a ->
           match sp with
-          | Global -> global_load a
+          | Global -> Memsys.load32 ms ~cu:cu_id a
           | Local -> lds_read a);
-      mstore =
-        (fun sp a v ->
-          match sp with
-          | Global -> Memsys.store32 ms ~cu:cu_id a v
-          | Local -> lds_write a v);
+      mstore = store;
       matomic =
         (fun op sp a v ->
-          match sp with
-          | Global ->
-              let old = Memsys.read32 ms a in
-              (* a poll reads without writing back (no poison refresh) *)
-              if op <> A_poll then
-                Memsys.store32 ms ~cu:cu_id a (atomic_eval op old v);
-              old
-          | Local ->
-              let old = lds_read a in
-              if op <> A_poll then lds_write a (atomic_eval op old v);
-              old);
+          let old = read sp a in
+          (* a poll reads without writing back (no poison refresh) *)
+          if op <> A_poll then store sp a (atomic_eval op old v);
+          old);
       mcas =
         (fun sp a e n ->
-          match sp with
-          | Global ->
-              let old = Memsys.read32 ms a in
-              if old = e then Memsys.store32 ms ~cu:cu_id a n;
-              old
-          | Local ->
-              let old = lds_read a in
-              if old = e then lds_write a n;
-              old);
-      msan;
+          let old = read sp a in
+          if old = e then store sp a n;
+          old);
+      observe =
+        (match probe with
+        | Some { mem = Some f; _ } -> Some (f ~cu:cu_id ~group:g_index ~lds:g_lds)
+        | _ -> None);
     }
   in
 
@@ -661,10 +474,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             assign;
           counters.groups_launched <- counters.groups_launched + 1;
           counters.waves_launched <- counters.waves_launched + waves_per_group;
-          if tracing then
-            emit now
-              (Gpu_trace.Sink.Group_dispatch
-                 { cu = cu.cu_id; group = gi; waves = waves_per_group });
+          (match probe with
+          | Some p -> p.dispatch ~at:now ~cu:cu.cu_id ~group:gi ~waves:waves_per_group
+          | None -> ());
           Log.debug (fun m ->
               m "cycle %d: dispatch group %d (%d waves) to CU %d" now gi
                 waves_per_group cu.cu_id);
@@ -712,9 +524,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       cu.groups <- List.filter (fun g -> g != s.g) cu.groups;
       cu.lds_used <- cu.lds_used - s.g.g_lds_account;
       incr groups_completed;
-      if tracing then
-        emit now
-          (Gpu_trace.Sink.Group_retire { cu = cu.cu_id; group = s.g.g_index });
+      (match probe with
+      | Some p -> p.retire ~at:now ~cu:cu.cu_id ~group:s.g.g_index
+      | None -> ());
       Log.debug (fun m ->
           m "group %d completed on CU %d (%d/%d)" s.g.g_index cu.cu_id
             !groups_completed total_groups);
@@ -725,10 +537,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
 
   let arrive_barrier cu (g : grp) ~wid now =
     g.barrier_arrived <- g.barrier_arrived + 1;
-    if tracing then
-      emit now
-        (Gpu_trace.Sink.Barrier_arrive
-           { cu = cu.cu_id; group = g.g_index; wave = wid });
+    (match probe with
+    | Some p -> p.arrive ~at:now ~cu:cu.cu_id ~group:g.g_index ~wave:wid
+    | None -> ());
     if g.barrier_arrived = Array.length g.g_waves then begin
       g.barrier_arrived <- 0;
       Array.iter
@@ -740,10 +551,9 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           end)
         g.g_waves;
       counters.barriers_executed <- counters.barriers_executed + 1;
-      if san_on then san_barrier_release g.g_index;
-      if tracing then
-        emit now
-          (Gpu_trace.Sink.Barrier_release { cu = cu.cu_id; group = g.g_index });
+      (match probe with
+      | Some p -> p.release ~at:now ~cu:cu.cu_id ~group:g.g_index
+      | None -> ());
       true
     end
     else false
@@ -762,28 +572,15 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     }
   in
   let note now t = if t > now && t < sc.next_wake then sc.next_wake <- t in
-  let stall cu (s : slot) now cause =
-    emit now
-      (Gpu_trace.Sink.Stall
-         { cu = cu.cu_id; group = s.g.g_index; wave = s.w.Wave.wid; cause })
-  in
-  let issued cu (s : slot) now unit_ busy =
-    emit now
-      (Gpu_trace.Sink.Wave_issue
-         {
-           cu = cu.cu_id;
-           simd = s.w.Wave.simd;
-           group = s.g.g_index;
-           wave = s.w.Wave.wid;
-           unit_;
-           busy;
-         })
+  let stall cu (s : slot) now ~site cause ~n =
+    match probe with
+    | Some p -> p.stall ~at:now ~cu:cu.cu_id ~group:s.g.g_index s.w ~site cause ~n
+    | None -> ()
   in
   let unit_busy cu s now site t =
-    if tracing then stall cu s now Gpu_trace.Sink.Unit_busy;
-    if profiling then
-      prof.stall_unit_busy.(site) <- prof.stall_unit_busy.(site) + 1;
-    note now t
+    stall cu s now ~site Probe.Unit_busy ~n:0;
+    note now t;
+    -1
   in
 
   (* One wave's turn: advance its control flow and issue its next
@@ -799,10 +596,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
         cu.n_running <- cu.n_running - 1;
         if arrive_barrier cu s.g ~wid:w.Wave.wid now then sc.events <- true
     | Wave.P_waiting ->
-        if tracing then stall cu s now Gpu_trace.Sink.Barrier_wait;
-        if profiling && w.Wave.barrier_site >= 0 then
-          prof.stall_barrier.(w.Wave.barrier_site) <-
-            prof.stall_barrier.(w.Wave.barrier_site) + 1
+        stall cu s now ~site:w.Wave.barrier_site Probe.Barrier_wait ~n:0
     | Wave.P_stall ->
         (* control-flow operand not ready: conservative near wake *)
         note now (now + 1)
@@ -817,202 +611,136 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           if r > !until then until := r
         done;
         if !blocked then begin
-          if tracing then stall cu s now Gpu_trace.Sink.Scoreboard;
-          if profiling then
-            prof.stall_scoreboard.(site) <- prof.stall_scoreboard.(site) + 1;
+          stall cu s now ~site Probe.Scoreboard ~n:0;
           note now !until
         end
         else begin
-          let issue_done = ref false in
-          if prov_on then begin
-            prov_cur := Some e;
-            prov_now := now
-          end;
-          if san_on then san_set_site site;
-          (match e.unit_ with
-          | Wave.U_valu ->
-              if (not sc.valu_used) && cu.simd_busy_until.(simd) <= now then begin
-                let fired = Wave.exec w e ~mem:s.g.g_mem in
-                let busy =
-                  if e.trans then cfg.valu_trans_latency else cfg.valu_latency
+          w.Wave.last_issue <- now;
+          let fired = ref 0 in
+          (* cycles the issue occupies its unit, -1 when it cannot issue *)
+          let busy =
+            match e.unit_ with
+            | Wave.Valu ->
+                if (not sc.valu_used) && cu.simd_busy_until.(simd) <= now then begin
+                  fired := Wave.exec w e ~mem:s.g.g_mem;
+                  let busy =
+                    if e.trans then cfg.valu_trans_latency else cfg.valu_latency
+                  in
+                  cu.simd_busy_until.(simd) <- now + busy;
+                  counters.valu_busy <- counters.valu_busy + busy;
+                  counters.valu_insts <- counters.valu_insts + 1;
+                  counters.valu_lane_ops <-
+                    counters.valu_lane_ops + Wave.active_lanes w;
+                  if e.def >= 0 then ready_at.(e.def) <- now + busy;
+                  sc.valu_used <- true;
+                  busy
+                end
+                else unit_busy cu s now site cu.simd_busy_until.(simd)
+            | Wave.Salu ->
+                if (not sc.salu_used) && cu.salu_busy_until <= now then begin
+                  ignore (Wave.exec w e ~mem:s.g.g_mem);
+                  cu.salu_busy_until <- now + 1;
+                  counters.salu_busy <- counters.salu_busy + 1;
+                  counters.salu_insts <- counters.salu_insts + 1;
+                  if e.def >= 0 then ready_at.(e.def) <- now + cfg.salu_latency;
+                  sc.salu_used <- true;
+                  1
+                end
+                else unit_busy cu s now site cu.salu_busy_until
+            | Wave.Lds ->
+                if (not sc.lds_issued) && cu.lds_busy_until <= now then begin
+                  let lanes = Wave.exec w e ~mem:s.g.g_mem in
+                  cu.lds_busy_until <- now + cfg.lds_issue_cycles;
+                  counters.lds_busy <- counters.lds_busy + cfg.lds_issue_cycles;
+                  counters.lds_insts <- counters.lds_insts + 1;
+                  counters.lds_lane_ops <- counters.lds_lane_ops + lanes;
+                  (match e.mkind with
+                  | Wave.MAtomic -> counters.atomics <- counters.atomics + 1
+                  | Wave.MLoad | Wave.MStore -> ());
+                  if e.def >= 0 then ready_at.(e.def) <- now + cfg.lds_latency;
+                  sc.lds_issued <- true;
+                  cfg.lds_issue_cycles
+                end
+                else unit_busy cu s now site cu.lds_busy_until
+            | Wave.Vmem ->
+                let is_store =
+                  match e.mkind with Wave.MStore -> true | _ -> false
                 in
-                cu.simd_busy_until.(simd) <- now + busy;
-                counters.valu_busy <- counters.valu_busy + busy;
-                counters.valu_insts <- counters.valu_insts + 1;
-                counters.valu_lane_ops <-
-                  counters.valu_lane_ops + Wave.active_lanes w;
-                (* charge the profile before any trap can raise so a
-                   Detected run still reconciles with [Counters] *)
-                if profiling then begin
-                  prof.issues.(site) <- prof.issues.(site) + 1;
-                  prof.valu_busy.(site) <- prof.valu_busy.(site) + busy
-                end;
-                if e.def >= 0 then ready_at.(e.def) <- now + busy;
-                if fired <> 0 then begin
-                  incr detections;
-                  detected_at := Some now;
-                  if prov_on then begin
-                    prov_check_inst w e;
-                    prov.detect_site <- site;
-                    prov.detect_cycle <- now;
-                    prov.detect_inst_index <- issued_insts ()
+                if sc.vmem_used || ms.Memsys.mem_busy_until.(cu.cu_id) > now then
+                  unit_busy cu s now site ms.Memsys.mem_busy_until.(cu.cu_id)
+                else if is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now
+                then begin
+                  (* Charge the whole blocked span at once: the backlog
+                     cannot change while the store is stalled, and idle
+                     skip-ahead may never rescan the intervening cycles.
+                     [wstall_counted_until] de-overlaps repeat scans of the
+                     same episode, so each blocked cycle is counted exactly
+                     once per CU. *)
+                  let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
+                  let charged = max 0 (until - max now cu.wstall_counted_until) in
+                  if charged > 0 then begin
+                    counters.write_stalled <- counters.write_stalled + charged;
+                    cu.wstall_counted_until <- until
                   end;
-                  Log.info (fun m ->
-                      m
-                        "cycle %d: output comparison trapped (CU %d, group \
-                         %d, wave %d)"
-                        now cu.cu_id s.g.g_index w.Wave.wid);
-                  raise Trap_detected
-                end;
-                if tracing then issued cu s now Gpu_trace.Sink.Valu busy;
-                sc.valu_used <- true;
-                issue_done := true
-              end
-              else unit_busy cu s now site cu.simd_busy_until.(simd)
-          | Wave.U_salu ->
-              if (not sc.salu_used) && cu.salu_busy_until <= now then begin
-                ignore (Wave.exec w e ~mem:s.g.g_mem);
-                cu.salu_busy_until <- now + 1;
-                counters.salu_busy <- counters.salu_busy + 1;
-                counters.salu_insts <- counters.salu_insts + 1;
-                if profiling then begin
-                  prof.issues.(site) <- prof.issues.(site) + 1;
-                  prof.salu_busy.(site) <- prof.salu_busy.(site) + 1
-                end;
-                if e.def >= 0 then ready_at.(e.def) <- now + cfg.salu_latency;
-                if tracing then issued cu s now Gpu_trace.Sink.Salu 1;
-                sc.salu_used <- true;
-                issue_done := true
-              end
-              else unit_busy cu s now site cu.salu_busy_until
-          | Wave.U_lds ->
-              if (not sc.lds_issued) && cu.lds_busy_until <= now then begin
-                let lanes = Wave.exec w e ~mem:s.g.g_mem in
-                cu.lds_busy_until <- now + cfg.lds_issue_cycles;
-                counters.lds_busy <- counters.lds_busy + cfg.lds_issue_cycles;
-                counters.lds_insts <- counters.lds_insts + 1;
-                if profiling then begin
-                  prof.issues.(site) <- prof.issues.(site) + 1;
-                  prof.lds_busy.(site) <-
-                    prof.lds_busy.(site) + cfg.lds_issue_cycles
-                end;
-                counters.lds_lane_ops <- counters.lds_lane_ops + lanes;
-                (match e.mkind with
-                | Wave.MAtomic -> counters.atomics <- counters.atomics + 1
-                | Wave.MLoad | Wave.MStore -> ());
-                if e.def >= 0 then ready_at.(e.def) <- now + cfg.lds_latency;
-                if tracing then
-                  issued cu s now Gpu_trace.Sink.Lds cfg.lds_issue_cycles;
-                sc.lds_issued <- true;
-                issue_done := true
-              end
-              else unit_busy cu s now site cu.lds_busy_until
-          | Wave.U_vmem ->
-              let is_store =
-                match e.mkind with Wave.MStore -> true | _ -> false
-              in
-              if sc.vmem_used || ms.Memsys.mem_busy_until.(cu.cu_id) > now then
-                unit_busy cu s now site ms.Memsys.mem_busy_until.(cu.cu_id)
-              else if is_store && Memsys.store_would_stall ms ~cu:cu.cu_id ~now
-              then begin
-                (* Charge the whole blocked span at once: the backlog
-                   cannot change while the store is stalled, and idle
-                   skip-ahead may never rescan the intervening cycles.
-                   [wstall_counted_until] de-overlaps repeat scans of the
-                   same episode, so each blocked cycle is counted exactly
-                   once per CU. *)
-                let until = Memsys.store_stall_until ms ~cu:cu.cu_id in
-                let from = max now cu.wstall_counted_until in
-                if until > from then begin
-                  counters.write_stalled <-
-                    counters.write_stalled + (until - from);
-                  if profiling then
-                    prof.write_stalled.(site) <-
-                      prof.write_stalled.(site) + (until - from);
-                  cu.wstall_counted_until <- until
-                end;
-                if tracing then stall cu s now Gpu_trace.Sink.Write_backlog;
-                if profiling then
-                  prof.stall_write_backlog.(site) <-
-                    prof.stall_write_backlog.(site) + 1;
-                note now until
-              end
-              else begin
-                let lanes = Wave.exec w e ~mem:s.g.g_mem in
-                let nlines = w.Wave.nlines in
-                (* atomics are processed at the L2: they occupy the CU's
-                   vector memory unit only to issue, not per line *)
-                let busy =
-                  match e.mkind with
-                  | Wave.MAtomic -> 8
-                  | Wave.MLoad | Wave.MStore -> 4 + (4 * (max 1 nlines - 1))
-                in
-                ms.Memsys.mem_busy_until.(cu.cu_id) <- now + busy;
-                counters.mem_unit_busy <- counters.mem_unit_busy + busy;
-                counters.vmem_insts <- counters.vmem_insts + 1;
-                if profiling then begin
-                  prof.issues.(site) <- prof.issues.(site) + 1;
-                  prof.mem_unit_busy.(site) <- prof.mem_unit_busy.(site) + busy
-                end;
-                if e.poll then begin
-                  (* every active lane's flag poll is one spin iteration
-                     (Per_item gives each lane its own slot) *)
-                  counters.spin_iterations <- counters.spin_iterations + lanes;
-                  if profiling then
-                    prof.spin_iterations.(site) <-
-                      prof.spin_iterations.(site) + lanes;
-                  if tracing then stall cu s now Gpu_trace.Sink.Spin
-                end;
-                if tracing then issued cu s now Gpu_trace.Sink.Vmem busy;
-                (match e.mkind with
-                | Wave.MLoad ->
-                    counters.global_load_insts <- counters.global_load_insts + 1;
-                    let t =
-                      if profiling then begin
-                        (* attribute the cache outcome of this load by
-                           delta over the shared counters, which
-                           [load_timed] bumps internally *)
-                        let h1 = counters.l1_hits
-                        and s1 = counters.l1_misses
-                        and h2 = counters.l2_hits
-                        and s2 = counters.l2_misses in
-                        let t =
-                          Memsys.load_timed ms ~cu:cu.cu_id ~now w.Wave.lines
-                            ~n:nlines
-                        in
-                        prof.l1_hits.(site) <-
-                          prof.l1_hits.(site) + (counters.l1_hits - h1);
-                        prof.l1_misses.(site) <-
-                          prof.l1_misses.(site) + (counters.l1_misses - s1);
-                        prof.l2_hits.(site) <-
-                          prof.l2_hits.(site) + (counters.l2_hits - h2);
-                        prof.l2_misses.(site) <-
-                          prof.l2_misses.(site) + (counters.l2_misses - s2);
-                        t
-                      end
-                      else
+                  stall cu s now ~site Probe.Write_backlog ~n:charged;
+                  note now until;
+                  -1
+                end
+                else begin
+                  let lanes = Wave.exec w e ~mem:s.g.g_mem in
+                  let nlines = w.Wave.nlines in
+                  (* atomics are processed at the L2: they occupy the CU's
+                     vector memory unit only to issue, not per line *)
+                  let busy =
+                    match e.mkind with
+                    | Wave.MAtomic -> 8
+                    | Wave.MLoad | Wave.MStore -> 4 + (4 * (max 1 nlines - 1))
+                  in
+                  ms.Memsys.mem_busy_until.(cu.cu_id) <- now + busy;
+                  counters.mem_unit_busy <- counters.mem_unit_busy + busy;
+                  counters.vmem_insts <- counters.vmem_insts + 1;
+                  if e.poll then begin
+                    (* every active lane's flag poll is one spin iteration
+                       (Per_item gives each lane its own slot) *)
+                    counters.spin_iterations <- counters.spin_iterations + lanes;
+                    stall cu s now ~site Probe.Spin ~n:lanes
+                  end;
+                  (match e.mkind with
+                  | Wave.MLoad ->
+                      counters.global_load_insts <- counters.global_load_insts + 1;
+                      let t =
                         Memsys.load_timed ms ~cu:cu.cu_id ~now w.Wave.lines
                           ~n:nlines
-                    in
-                    if e.def >= 0 then ready_at.(e.def) <- t
-                | Wave.MStore ->
-                    counters.global_store_insts <-
-                      counters.global_store_insts + 1;
-                    Memsys.store_timed ms ~cu:cu.cu_id ~now ~n:nlines
-                | Wave.MAtomic ->
-                    counters.atomics <- counters.atomics + 1;
-                    let t =
-                      Memsys.atomic_timed ms ~cu:cu.cu_id ~now w.Wave.lines
-                        ~n:nlines
-                    in
-                    if e.def >= 0 then ready_at.(e.def) <- t);
-                sc.vmem_used <- true;
-                issue_done := true
-              end);
-          if !issue_done then begin
-            if prov_on then prov_check_inst w e;
+                      in
+                      if e.def >= 0 then ready_at.(e.def) <- t
+                  | Wave.MStore ->
+                      counters.global_store_insts <-
+                        counters.global_store_insts + 1;
+                      Memsys.store_timed ms ~cu:cu.cu_id ~now ~n:nlines
+                  | Wave.MAtomic ->
+                      counters.atomics <- counters.atomics + 1;
+                      let t =
+                        Memsys.atomic_timed ms ~cu:cu.cu_id ~now w.Wave.lines
+                          ~n:nlines
+                      in
+                      if e.def >= 0 then ready_at.(e.def) <- t);
+                  sc.vmem_used <- true;
+                  busy
+                end
+          in
+          if busy >= 0 then begin
+            (match probe with
+            | Some p -> p.issue ~at:now ~cu:cu.cu_id ~group:s.g.g_index w ~busy
+            | None -> ());
+            if !fired <> 0 then begin
+              detected_at := Some now;
+              (match probe with Some p -> p.trap ~at:now w | None -> ());
+              Log.info (fun m ->
+                  m "cycle %d: output comparison trapped (CU %d, group %d, wave %d)"
+                    now cu.cu_id s.g.g_index w.Wave.wid);
+              raise Trap_detected
+            end;
             Wave.consume w;
-            w.Wave.last_issue <- now;
             note now (now + 1)
           end
         end
@@ -1058,58 +786,34 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
     |> List.concat_map (fun cu ->
            Array.to_list cu.sched |> List.filter (fun s -> s.live))
   in
-  let try_inject target =
+  (* The flip that landed, if any. *)
+  let try_inject target : Probe.flip option =
     match target with
-    | T_vgpr -> (
+    | T_vgpr | T_sgpr -> (
         match resident_slots () with
-        | [] -> false
+        | [] -> None
         | slots ->
             let s = List.nth slots (rand (List.length slots)) in
-            let divergent_regs =
-              List.filter (fun r -> div.(r)) (List.init kernel.nregs Fun.id)
-            in
-            let pool = if divergent_regs = [] then List.init kernel.nregs Fun.id else divergent_regs in
-            let r = List.nth pool (rand (List.length pool)) in
-            let lane = rand s.w.Wave.nlanes in
-            let bit = rand 32 in
-            let v = Wave.get_reg s.w r lane in
-            Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)));
-            if prov_on then begin
-              taint := Taint_reg { t_wave = s.w; t_reg = r; t_lane = lane };
-              prov.target <- Some Prov.S_vgpr;
-              prov.bit <- bit;
-              prov.desc <-
-                Printf.sprintf "v%d lane %d (group %d, wave %d)" r lane
-                  s.g.g_index s.w.Wave.wid
-            end;
-            true)
-    | T_sgpr -> (
-        match resident_slots () with
-        | [] -> false
-        | slots ->
-            let s = List.nth slots (rand (List.length slots)) in
-            let uniform_regs =
-              List.filter (fun r -> not div.(r)) (List.init kernel.nregs Fun.id)
-            in
-            if uniform_regs = [] then false
+            let vector = target = T_vgpr in
+            (* a vector flip prefers a divergent register, a scalar flip
+               needs a uniform one *)
+            let all = List.init kernel.nregs Fun.id in
+            let regs = List.filter (fun r -> div.(r) = vector) all in
+            let pool = if regs = [] && vector then all else regs in
+            if pool = [] then None
             else begin
-              let r = List.nth uniform_regs (rand (List.length uniform_regs)) in
+              let r = List.nth pool (rand (List.length pool)) in
+              let lane = if vector then rand s.w.Wave.nlanes else -1 in
               let bit = rand 32 in
               (* scalar registers are one copy shared by the wavefront:
                  the flip is visible to every lane *)
-              for lane = 0 to s.w.Wave.nlanes - 1 do
-                let v = Wave.get_reg s.w r lane in
-                Wave.set_reg s.w r lane (F32.norm (v lxor (1 lsl bit)))
+              for l = 0 to s.w.Wave.nlanes - 1 do
+                if lane < 0 || l = lane then
+                  Wave.set_reg s.w r l
+                    (F32.norm (Wave.get_reg s.w r l lxor (1 lsl bit)))
               done;
-              if prov_on then begin
-                taint := Taint_reg { t_wave = s.w; t_reg = r; t_lane = -1 };
-                prov.target <- Some Prov.S_sgpr;
-                prov.bit <- bit;
-                prov.desc <-
-                  Printf.sprintf "s%d all lanes (group %d, wave %d)" r
-                    s.g.g_index s.w.Wave.wid
-              end;
-              true
+              Some
+                (Probe.Flip_reg { wave = s.w; group = s.g.g_index; reg = r; lane; bit })
             end)
     | T_lds -> (
         let groups =
@@ -1118,39 +822,22 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           |> List.filter (fun g -> Bytes.length g.lds_mem >= 4)
         in
         match groups with
-        | [] -> false
+        | [] -> None
         | gs ->
-            if lds_total < 4 then false
+            if lds_total < 4 then None
             else begin
               let g = List.nth gs (rand (List.length gs)) in
               let byte = rand lds_total in
               let bit = rand 8 in
               let c = Char.code (Bytes.get g.lds_mem byte) in
               Bytes.set g.lds_mem byte (Char.chr (c lxor (1 lsl bit)));
-              if prov_on then begin
-                taint := Taint_lds { t_group = g.g_index; t_addr = byte land lnot 3 };
-                prov.target <- Some Prov.S_lds;
-                prov.bit <- ((byte land 3) * 8) + bit;
-                prov.desc <-
-                  Printf.sprintf "LDS byte %d (group %d)" byte g.g_index
-              end;
-              true
+              Some (Probe.Flip_lds { group = g.g_index; byte; bit })
             end)
     | T_l1 ->
         let cu = rand cfg.n_cus in
-        let ok = Memsys.inject_l1_poison ms ~cu ~seed:(rand 1_000_000_007) in
-        if ok && prov_on then begin
-          taint := Taint_l1;
-          (match ms.Memsys.poison with
-          | Some p ->
-              prov.target <- Some Prov.S_l1;
-              prov.bit <- p.Memsys.p_bit;
-              prov.desc <-
-                Printf.sprintf "L1 line %d word %d (CU %d)" p.Memsys.p_line
-                  p.Memsys.p_word p.Memsys.p_cu
-          | None -> ())
-        end;
-        ok
+        if Memsys.inject_l1_poison ms ~cu ~seed:(rand 1_000_000_007) then
+          Option.map (fun p -> Probe.Flip_l1 p) ms.Memsys.poison
+        else None
   in
 
   (* -------------------- main loop -------------------- *)
@@ -1170,17 +857,15 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
        else begin
          try_dispatch now;
          (match !inject_pending with
-         | Some p when now >= p.at_cycle ->
-             if try_inject p.target then begin
-               inject_applied := true;
-               injected_at := Some now;
-               if prov_on then begin
-                 prov.inject_cycle <- now;
-                 prov.inject_inst_index <- issued_insts ()
-               end;
-               Log.info (fun m -> m "cycle %d: fault injected" now);
-               inject_pending := None
-             end
+         | Some p when now >= p.at_cycle -> (
+             match try_inject p.target with
+             | Some flip ->
+                 inject_applied := true;
+                 injected_at := Some now;
+                 (match probe with Some p -> p.inject ~at:now flip | None -> ());
+                 Log.info (fun m -> m "cycle %d: fault injected" now);
+                 inject_pending := None
+             | None -> ())
          | _ -> ());
          Array.iter
            (fun cu ->

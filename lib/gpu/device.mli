@@ -9,7 +9,11 @@
     to the CU-shared units). Wavefronts are scoreboarded, so memory
     latency is hidden exactly when enough other wavefronts are resident —
     the mechanism behind the paper's "memory-bound kernels get cheap RMT"
-    result. *)
+    result.
+
+    Probes: a launch's observers ([trace], [profile], [provenance] and
+    the {!set_san} shadow) become one {!Probe.t}; without any, the issue
+    loop does no observer work, and none perturbs timing or outputs. *)
 
 val log_src : Logs.src
 (** Scheduler-event log source ("gpu.device"): dispatches, retirements,
@@ -27,9 +31,8 @@ val set_san : t -> Gpu_san.Shadow.t option -> unit
     so the shadow sees every allocation range and host write. While
     attached, {!alloc}/{!free_all}/{!write_i32} (and everything funnelled
     through them) maintain the shadow's allocation and initialization
-    maps, and every launch checks each lane's memory accesses against it.
-    The shadow only observes: counters, timing and outputs are identical
-    to an unsanitized run. *)
+    maps, and every launch checks each lane's memory accesses against it
+    ({!Probe.of_shadow}). *)
 
 type buffer = { addr : int; size : int }
 
@@ -93,21 +96,13 @@ type launch_opts = {
   inject : inject_plan option;
   verify_kernel : bool;  (** run {!Gpu_ir.Verify.check} first (default) *)
   trace : Gpu_trace.Sink.t option;
-      (** scheduler-event sink ([None], the default, adds no work to the
-          issue loop; events never perturb timing or counters) *)
+      (** scheduler-event sink ({!Probe.of_sink}) *)
   profile : Gpu_prof.Collector.t option;
-      (** per-site profile collector, sized to {!Gpu_ir.Site.count} of
-          the launched kernel ([invalid_arg] otherwise); [None], the
-          default, keeps the issue loop free of per-site charging. The
-          collector's cycle-exact fields are charged at the same program
-          points as the matching {!Counters} fields, so per-site sums
-          reconcile exactly with the run totals. Profiling never
-          perturbs timing, counters or results. *)
+      (** per-site collector sized to {!Gpu_ir.Site.count} of the
+          launched kernel ([invalid_arg] otherwise; {!Probe.of_collector}) *)
   provenance : Gpu_prof.Provenance.t option;
-      (** fault-propagation record for an injected run: structure and
-          bit of the flip, first consuming instruction site, overwrite
-          (dead-value) masking, and flip-to-detect distance in dynamic
-          instructions and cycles *)
+      (** fault-propagation record for an injected run
+          ({!Probe.of_provenance}) *)
   scan_every_cycle : bool;
       (** debug: disable idle skip-ahead and scan every CU every cycle;
           timing-equivalent but much slower (cross-checks stall spans) *)

@@ -31,7 +31,7 @@ module Site = Gpu_ir.Site
 (* Decoded program                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type unit_kind = U_valu | U_salu | U_vmem | U_lds
+type unit_kind = Gpu_trace.Sink.unit_kind = Valu | Salu | Vmem | Lds
 type mem_kind = MLoad | MStore | MAtomic
 
 type opnd = { row : int; imm : int }
@@ -218,14 +218,14 @@ let dop ~lds_base ~arg = function
 
 let entry ~scalar ~lds_base ~arg site (i : inst) =
   let def = match inst_def i with Some d -> d | None -> -1 in
-  let space_unit = function Global -> U_vmem | Local -> U_lds in
+  let space_unit = function Global -> Vmem | Local -> Lds in
   let unit_, mkind =
     match i with
     | Load (sp, _, _) -> (space_unit sp, MLoad)
     | Store (sp, _, _) -> (space_unit sp, MStore)
     | Atomic (_, sp, _, _, _) | Cas (sp, _, _, _, _) -> (space_unit sp, MAtomic)
-    | Trap _ | Swizzle _ -> (U_valu, MLoad)
-    | _ -> ((if scalar i then U_salu else U_valu), MLoad)
+    | Trap _ | Swizzle _ -> (Valu, MLoad)
+    | _ -> ((if scalar i then Salu else Valu), MLoad)
   in
   {
     site;
@@ -339,7 +339,7 @@ type t = {
   mutable nlines : int;
   mutable state : state;
   simd : int;
-  mutable last_issue : int;  (** cycle of last issue, for fairness *)
+  mutable last_issue : int;  (** cycle [cur] issued, set before it executes *)
   mutable retire_accounted : bool;
       (** set once the scheduler has released this wave's resources; a wave
           can appear in two scheduler arrays across a rebuild, so release
@@ -356,7 +356,7 @@ let no_entry =
     def = -1;
     drow = -64;
     uses = [||];
-    unit_ = U_valu;
+    unit_ = Valu;
     trans = false;
     mkind = MLoad;
     poll = false;
@@ -567,13 +567,9 @@ type mem_ops = {
   mstore : space -> int -> int -> unit;
   matomic : atomic_op -> space -> int -> int -> int;
   mcas : space -> int -> int -> int -> int;
-  msan : (t -> mem_kind -> space -> int -> int -> int -> unit) option;
-      (** sanitizer hook, called per lane as [f wave kind space addr lane
-          v] {e before} the access is performed (so out-of-bounds
-          addresses are recorded even when the access faults); [v] is the
-          value being stored for [MStore], 1 for a writing atomic vs 0 for
-          the read-only [A_poll], and 0 for loads; [None] when the
-          sanitizer is off *)
+  observe : (t -> mem_kind -> space -> int -> int -> int -> unit) option;
+      (** per-lane observer ({!Probe.access}), called {e before} each
+          access is performed; [None] when no probe watches memory *)
 }
 
 let special_eval (view : Geom.group_view) ~flat = function
@@ -662,7 +658,7 @@ let exec t (e : entry) ~(mem : mem_ops) : int =
         if on lo hi l then begin
           let x = rd regs a l in
           incr lanes;
-          (match mem.msan with Some f -> f t MLoad sp x l 0 | None -> ());
+          (match mem.observe with Some f -> f t MLoad sp x l 0 | None -> ());
           regs.(d + l) <- mem.mload sp x;
           if gathers sp then add_line t x
         end
@@ -676,7 +672,7 @@ let exec t (e : entry) ~(mem : mem_ops) : int =
           let x = rd regs a l in
           incr lanes;
           let sv = rd regs v l in
-          (match mem.msan with Some f -> f t MStore sp x l sv | None -> ());
+          (match mem.observe with Some f -> f t MStore sp x l sv | None -> ());
           mem.mstore sp x sv;
           if gathers sp then add_line t x
         end
@@ -690,7 +686,7 @@ let exec t (e : entry) ~(mem : mem_ops) : int =
         if on lo hi l then begin
           let x = rd regs a l in
           incr lanes;
-          (match mem.msan with Some f -> f t MAtomic sp x l writes | None -> ());
+          (match mem.observe with Some f -> f t MAtomic sp x l writes | None -> ());
           regs.(d + l) <- mem.matomic op sp x (rd regs v l);
           if gathers sp then add_line t x
         end
@@ -703,7 +699,7 @@ let exec t (e : entry) ~(mem : mem_ops) : int =
         if on lo hi l then begin
           let x = rd regs a l in
           incr lanes;
-          (match mem.msan with Some f -> f t MAtomic sp x l 1 | None -> ());
+          (match mem.observe with Some f -> f t MAtomic sp x l 1 | None -> ());
           regs.(d + l) <- mem.mcas sp x (rd regs ex l) (rd regs nv l);
           if gathers sp then add_line t x
         end

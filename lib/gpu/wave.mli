@@ -19,7 +19,7 @@ module Site = Gpu_ir.Site
 
 (** {1 Decoded programs} *)
 
-type unit_kind = U_valu | U_salu | U_vmem | U_lds
+type unit_kind = Gpu_trace.Sink.unit_kind = Valu | Salu | Vmem | Lds
 type mem_kind = MLoad | MStore | MAtomic
 
 type dop
@@ -81,7 +81,7 @@ type t = {
   mutable nlines : int;
   mutable state : state;
   simd : int;
-  mutable last_issue : int;
+  mutable last_issue : int;  (** cycle at which [cur] issued *)
   mutable retire_accounted : bool;
   mutable barrier_site : int;
       (** site id of the last barrier arrived at (-1 before the first) *)
@@ -123,11 +123,9 @@ type mem_ops = {
   mstore : space -> int -> int -> unit;
   matomic : atomic_op -> space -> int -> int -> int;
   mcas : space -> int -> int -> int -> int;
-  msan : (t -> mem_kind -> space -> int -> int -> int -> unit) option;
-      (** sanitizer hook, called per lane as [f wave kind space addr lane
-          v] before the access is performed; [v] is the stored value for
-          [MStore], 1 for a writing atomic vs 0 for [A_poll], and 0 for
-          loads; [None] when the sanitizer is off *)
+  observe : (t -> mem_kind -> space -> int -> int -> int -> unit) option;
+      (** per-lane observer ({!Probe.access}), called before each access
+          is performed; [None] when no probe watches memory *)
 }
 
 val exec : t -> entry -> mem:mem_ops -> int

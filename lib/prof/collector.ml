@@ -1,9 +1,7 @@
 (** Per-site profile accumulators.
 
-    One slot per instruction site ({!Gpu_ir.Site}); the device charges
-    into the arrays directly from its issue loop, behind a single
-    [profile <> None] guard, so a run without a collector executes the
-    same instructions as before the profiler existed.
+    One slot per instruction site ({!Gpu_ir.Site}), charged through the
+    device's profile probe ([Gpu_sim.Probe.of_collector]).
 
     Two classes of field:
 

@@ -1,10 +1,8 @@
 (** Dynamic kernel sanitizer: shadow state for LDS and global memory.
 
-    The device threads one {!t} through a launch (behind a single
-    [san <> None] test per instrumentation site, the same zero-cost
-    discipline as the trace sink and the profile collector) and calls
-    {!global_access}/{!lds_access} for every lane of every memory
-    instruction it issues. The shadow tracks, per 4-byte word, the last
+    The device's sanitizer probe ([Gpu_sim.Probe.of_shadow]) threads
+    one {!t} through a launch and calls {!global_access}/{!lds_access}
+    for every lane of every memory instruction it issues. The shadow tracks, per 4-byte word, the last
     writer and last reader (work-item, {!Gpu_ir.Site} id, barrier epoch)
     plus an initialized bit, and reports:
 
@@ -110,7 +108,6 @@ type word = {
 type group_state = { mutable epoch : int; lwords : (int, word) Hashtbl.t }
 
 type t = {
-  mutable cur_site : int;  (** site of the instruction being issued *)
   mutable ranges : (int * int) list;  (** live allocations: (addr, size) *)
   gwords : (int, word) Hashtbl.t;  (** global shadow, by word address *)
   groups : (int, group_state) Hashtbl.t;  (** per-group LDS shadow *)
@@ -123,7 +120,6 @@ type t = {
 
 let create () =
   {
-    cur_site = -1;
     ranges = [];
     gwords = Hashtbl.create 4096;
     groups = Hashtbl.create 64;
@@ -165,7 +161,6 @@ let host_write t addr =
     sync vector clocks, whose actor ids are reused by the next launch)
     but keep the initialized bits. *)
 let begin_launch t =
-  t.cur_site <- -1;
   Hashtbl.iter
     (fun _ w ->
       w.lastw <- None;
@@ -175,8 +170,6 @@ let begin_launch t =
   Hashtbl.reset t.groups;
   Hashtbl.reset t.actors;
   t.nactors <- 0
-
-let set_site t site = t.cur_site <- site
 
 let group_state t g =
   match Hashtbl.find_opt t.groups g with
@@ -338,22 +331,24 @@ let word_of tbl addr =
 let in_some_range t addr =
   List.exists (fun (a, sz) -> addr >= a && addr + 4 <= a + sz) t.ranges
 
-let make_access t (coord : coord) epoch =
+let make_access t ~site (coord : coord) epoch =
   let actor = actor_id t ~group:coord.c_group ~wave:coord.c_wave in
   {
-    a_site = t.cur_site;
+    a_site = site;
     a_coord = coord;
     a_actor = actor;
     a_clock = vc_get t.avcs.(actor) actor;
     a_epoch = epoch;
   }
 
-(** A lane touched global word [addr]. [unchanged] marks a store whose
-    value equals the word's current contents (a benign, unobservable
-    write — it initializes but cannot race). *)
-let global_access t ~(coord : coord) ~kind ?(unchanged = false) ~addr () =
+(** A lane of the instruction at [site] touched global word [addr].
+    [unchanged] marks a store whose value equals the word's current
+    contents (a benign, unobservable write — it initializes but cannot
+    race). *)
+let global_access t ~site ~(coord : coord) ~kind ?(unchanged = false) ~addr ()
+    =
   let gs = group_state t coord.c_group in
-  let acc = make_access t coord gs.epoch in
+  let acc = make_access t ~site coord gs.epoch in
   if addr land 3 <> 0 || not (in_some_range t addr) then
     record t Oob Global ~addr ~first:None ~second:acc
   else begin
@@ -364,10 +359,10 @@ let global_access t ~(coord : coord) ~kind ?(unchanged = false) ~addr () =
 
 (** A lane touched LDS word [addr] of its group ([lds_bytes] is the
     group's allocation size). *)
-let lds_access t ~(coord : coord) ~kind ?(unchanged = false) ~addr ~lds_bytes
-    () =
+let lds_access t ~site ~(coord : coord) ~kind ?(unchanged = false) ~addr
+    ~lds_bytes () =
   let gs = group_state t coord.c_group in
-  let acc = make_access t coord gs.epoch in
+  let acc = make_access t ~site coord gs.epoch in
   if addr < 0 || addr land 3 <> 0 || addr + 4 > lds_bytes then
     record t Oob Local ~addr ~first:None ~second:acc
   else begin

@@ -7,16 +7,13 @@
     integers — CU, SIMD, group and wave ids — so a sink never holds
     references into simulator state.
 
-    Overhead discipline: the device guards every emission behind a single
-    [trace <> None] test, and event records are only allocated when a
-    sink is installed, so a run with tracing disabled executes the same
-    instructions on its hot path as before the sink existed. Sinks are
-    invoked synchronously from the (single-domain) simulation loop, in
-    simulation order; a run's event stream is therefore as deterministic
-    as the run itself, whatever the harness [-j] worker count. *)
+    The device reaches a sink through its trace probe
+    ([Gpu_sim.Probe.of_sink]), synchronously and in simulation order, so a
+    run's event stream is as deterministic as the run itself, whatever
+    the harness [-j] worker count. *)
 
-(** The issue unit that accepted an instruction (mirrors the device's
-    internal classification). *)
+(** The issue unit that accepted an instruction (the wave engine's own
+    classification). *)
 type unit_kind = Valu | Salu | Vmem | Lds
 
 let unit_name = function

@@ -209,7 +209,7 @@ let run ?(step_limit = default_step_limit) ?inject (plan : plan) : result =
           old
         in
         let mem : Wave.mem_ops =
-          { mload = mem_load; mstore = mem_store; matomic; mcas; msan = None }
+          { mload = mem_load; mstore = mem_store; matomic; mcas; observe = None }
         in
         let view = { Geom.nd; gcoord = Geom.group_coord nd g } in
         let nwaves = (items + 63) / 64 in

@@ -3,7 +3,10 @@
 
    - pins: each observer's output on fixed runs, as digests recorded
      from an earlier build, so a change to how the device reports to
-     its observers fails loudly. *)
+     its observers fails loudly;
+   - composition: all four observers attached to one injected run
+     record exactly what each records alone, and leave the run's
+     counters untouched. *)
 
 module Sim = Gpu_sim
 module Shadow = Gpu_san.Shadow
@@ -90,9 +93,66 @@ let test_sanitizer_reports_pinned () =
   check Alcotest.bool "clean registry run" true (Shadow.clean san);
   check Alcotest.string "clean report" "sanitizer: clean (0 findings)\n" report
 
+(* ------------------------------------------------------------------ *)
+(* Composition                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_observers_compose () =
+  let bench = Kernels.Registry.find "BlkSch" and variant = T.intra_plus_lds in
+  let inject = { Sim.Device.at_cycle = 1800; target = Sim.Device.T_vgpr; iseed = 11 } in
+  let summary s =
+    let b = Buffer.create 4096 in
+    Pin.add_summary b s;
+    Buffer.contents b
+  in
+  let _, _, sized = Harness.Run.run_profiled bench variant in
+  let collector () = Gpu_prof.Collector.create ~nsites:sized.nsites in
+  let observe ~trace ~profile ~provenance ~san =
+    let tb = Buffer.create (1 lsl 20) in
+    let c = collector () and p = Gpu_prof.Provenance.create () in
+    let sh = Shadow.create () in
+    let s =
+      Harness.Run.run ~inject
+        ?trace:(if trace then Some (Pin.buffer_sink tb) else None)
+        ?profile:(if profile then Some c else None)
+        ?provenance:(if provenance then Some p else None)
+        ?san:(if san then Some sh else None)
+        bench variant
+    in
+    check Alcotest.string "detected" "detected"
+      (Harness.Run.outcome_name s.Harness.Run.outcome);
+    let cb = Buffer.create 4096 and pb = Buffer.create 256 in
+    Pin.add_collector cb c;
+    Pin.add_provenance pb p;
+    ( summary s,
+      Buffer.contents tb,
+      Buffer.contents cb,
+      Buffer.contents pb,
+      Gpu_san.Report.to_string sh )
+  in
+  let plain, _, _, _, _ =
+    observe ~trace:false ~profile:false ~provenance:false ~san:false
+  in
+  let all_s, all_t, all_c, all_p, all_san =
+    observe ~trace:true ~profile:true ~provenance:true ~san:true
+  in
+  let s1, t, _, _, _ = observe ~trace:true ~profile:false ~provenance:false ~san:false in
+  let s2, _, c, _, _ = observe ~trace:false ~profile:true ~provenance:false ~san:false in
+  let s3, _, _, p, _ = observe ~trace:false ~profile:false ~provenance:true ~san:false in
+  let s4, _, _, _, san = observe ~trace:false ~profile:false ~provenance:false ~san:true in
+  List.iter
+    (fun s -> check Alcotest.string "counters as unobserved" plain s)
+    [ all_s; s1; s2; s3; s4 ];
+  check Alcotest.bool "trace nonempty" true (String.length t > 0);
+  check Alcotest.string "trace as alone" t all_t;
+  check Alcotest.string "collector as alone" c all_c;
+  check Alcotest.string "provenance as alone" p all_p;
+  check Alcotest.string "sanitizer as alone" san all_san
+
 let suite =
   [
     tc "pin: trace streams" `Quick test_trace_streams_pinned;
     tc "pin: collector arrays" `Quick test_collectors_pinned;
     tc "pin: sanitizer reports" `Quick test_sanitizer_reports_pinned;
+    tc "observers compose" `Quick test_observers_compose;
   ]
