@@ -205,9 +205,10 @@ let of_provenance (p : Prov.t) ~(counters : Counters.t) ~ms =
         }
   in
   (* A read of the tainted lanes is consumption; a full overwrite of them
-     before any read kills the fault (dead-value masking). Swizzle reads
-     across lanes, so it consumes whatever the tainted lane's active bit. *)
-  let check_regs (w : Wave.t) =
+     before any read kills the fault (dead-value masking), unless [kill]
+     is off. Swizzle reads across lanes, so it consumes whatever the
+     tainted lane's active bit. *)
+  let check_regs (w : Wave.t) ~index ~kill =
     match !taint with
     | Taint_reg { t_wave; t_reg; t_lane } when t_wave == w && p.first_use = None
       ->
@@ -222,8 +223,8 @@ let of_provenance (p : Prov.t) ~(counters : Counters.t) ~ms =
             (n > 0, n = w.nlanes)
         in
         if Array.exists (fun r -> r = t_reg) e.uses && (is_swizzle || some_active)
-        then consumed w ~index:(issued ())
-        else if e.def = t_reg && all_active then begin
+        then consumed w ~index
+        else if kill && e.def = t_reg && all_active then begin
           taint := Taint_none;
           p.overwritten <- true
         end
@@ -231,10 +232,16 @@ let of_provenance (p : Prov.t) ~(counters : Counters.t) ~ms =
   in
   {
     nop with
-    issue = (fun ~at:_ ~cu:_ ~group:_ w ~busy:_ -> check_regs w);
+    issue =
+      (fun ~at:_ ~cu:_ ~group:_ w ~busy:_ ->
+        check_regs w ~index:(issued ()) ~kill:true);
     mem =
       Some
         (fun ~cu ~group ~lds:_ w kind sp addr _ _ ->
+          (* an access reads its registers before it can fault: count the
+             read here, indexed as the issue will count it; a write waits
+             for the issue, which a faulting access never reaches *)
+          check_regs w ~index:(issued () + 1) ~kill:false;
           if p.first_use = None then
             match (!taint, sp, kind) with
             | Taint_lds { t_group; t_addr }, Local, MStore

@@ -6,7 +6,9 @@
      its observers fails loudly;
    - composition: all four observers attached to one injected run
      record exactly what each records alone, and leave the run's
-     counters untouched. *)
+     counters untouched;
+   - provenance: a flipped register consumed by an instruction that
+     then faults is still recorded as consumed. *)
 
 module Sim = Gpu_sim
 module Shadow = Gpu_san.Shadow
@@ -149,10 +151,40 @@ let test_observers_compose () =
   check Alcotest.string "provenance as alone" p all_p;
   check Alcotest.string "sanitizer as alone" san all_san
 
+(* ------------------------------------------------------------------ *)
+(* Provenance                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The flip lands in v72, an LDS address of BlkSch under Intra+LDS: bit
+   22 sends the next load far out of bounds. The load reads the flipped
+   register before it faults, so the flip was consumed there. *)
+let test_faulting_consumer_recorded () =
+  let bench = Kernels.Registry.find "BlkSch" and variant = T.intra_plus_lds in
+  let p = Gpu_prof.Provenance.create () in
+  let s =
+    Harness.Run.run
+      ~inject:{ Sim.Device.at_cycle = 984; target = Sim.Device.T_vgpr; iseed = 55530 }
+      ~provenance:p bench variant
+  in
+  check Alcotest.string "outcome" "crashed: LDS load out of bounds at 4194720"
+    (Harness.Run.outcome_name s.Harness.Run.outcome);
+  check Alcotest.int "flipped bit" 22 p.bit;
+  match p.first_use with
+  | None -> Alcotest.fail ("flip reported unconsumed: " ^ Gpu_prof.Provenance.to_string p)
+  | Some u -> (
+      let _, kernel, _ = Harness.Run.run_profiled bench variant in
+      match (Gpu_ir.Site.insts kernel).(u.u_site) with
+      | Gpu_ir.Types.Load (Gpu_ir.Types.Local, _, _) -> ()
+      | i ->
+          Alcotest.failf "consumed at site %d (%s), not an LDS load" u.u_site
+            (Gpu_ir.Pp.string_of_inst i))
+
 let suite =
   [
     tc "pin: trace streams" `Quick test_trace_streams_pinned;
     tc "pin: collector arrays" `Quick test_collectors_pinned;
     tc "pin: sanitizer reports" `Quick test_sanitizer_reports_pinned;
     tc "observers compose" `Quick test_observers_compose;
+    tc "provenance: faulting consumer recorded" `Quick
+      test_faulting_consumer_recorded;
   ]
