@@ -17,11 +17,10 @@
     own waves, reading readiness, unit and destination from the decoded
     instruction; the other SIMDs' waves matter only through a count of
     running waves. The issue loop allocates nothing per scan or per
-    instruction beyond what observers ask for.
-
-    Probes: a launch folds its observers (trace sink, profile collector,
-    provenance record, sanitizer shadow) into one {!Probe.t} option at
-    its start, and each observable program point tests it once.
+    instruction beyond what observers ask for. Probes: a launch folds its
+    observers (trace sink, profile collector, provenance record,
+    sanitizer shadow) into one {!Probe.t} option at its start, and each
+    observable program point tests it once.
 
     The simulator is cycle-stepped but skips ahead over provably idle
     periods, so spin-heavy Inter-Group RMT kernels remain tractable. *)

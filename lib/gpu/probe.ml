@@ -1,15 +1,9 @@
-(** Launch observers behind one interface.
-
-    A probe is a record of callbacks that {!Device.launch} calls at its
-    observable program points. The launch folds every attached observer
-    into one [t option] when it starts and tests it once per point, so
-    an unobserved launch does no observer work. The observers are the
-    constructors below — trace sink, profile collector, provenance
-    record, sanitizer shadow — and compose with {!both}. They only read
-    simulator state, so a probed run is cycle-, counter- and
-    output-identical to an unprobed one; callbacks run synchronously in
-    simulation order, so what they record is as deterministic as the
-    run. *)
+(** Launch observers behind one interface: a record of callbacks that
+    {!Device.launch} calls, in simulation order, at its observable
+    program points. The observers — trace sink, profile collector,
+    provenance record, sanitizer shadow — are the constructors below and
+    compose with {!both}; they only read simulator state, so a probed
+    run is cycle-, counter- and output-identical to an unprobed one. *)
 
 open Gpu_ir.Types
 module Sink = Gpu_trace.Sink

@@ -124,7 +124,7 @@ type mem_ops = {
   matomic : atomic_op -> space -> int -> int -> int;
   mcas : space -> int -> int -> int -> int;
   observe : (t -> mem_kind -> space -> int -> int -> int -> unit) option;
-      (** per-lane observer ({!Probe.access}), called before each access
+      (** per-lane observer (a probe's [mem]), called before each access
           is performed; [None] when no probe watches memory *)
 }
 

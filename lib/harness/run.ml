@@ -44,24 +44,11 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
   let k = Transform.apply variant ~local_items:(Gpu_sim.Geom.group_items nd) k in
   if optimize then Gpu_ir.Opt.optimize k else k
 
-(** Run [bench] under [variant].
-
-    @param scale problem-size multiplier (1 = paper-scaled default)
-    @param usage_override resource inflation for the component analysis
-    @param inject a fault plan, interpreted against cumulative cycles
-    @param trace a scheduler-event sink; multi-pass launches are spliced
-    into one monotonic stream by offsetting each pass's events by the
-    cycles already simulated
-    @param profile the per-site collector for the transformed kernel
-    (given that kernel); every pass charges into the same collector
-    (passes all run the same kernel, hence the same site numbering)
-    @param provenance a fault-propagation record, filled by the pass in
-    which [inject] lands
-    @param san a sanitizer shadow, attached before host preparation so it
-    observes every allocation and host write; all passes check into the
-    same shadow (the sanitizer never perturbs timing or outputs)
-
-    Returns the summary and the transformed kernel the device ran. *)
+(** {!run}, with [profile] given the transformed kernel so it can size
+    the collector. Every pass launches with the same observers, which the
+    device folds into one probe; [inject] is interpreted against
+    cumulative cycles. Returns the summary and the transformed kernel the
+    device ran. *)
 let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     ?window_cycles ?max_cycles ?usage_override ?inject ?trace
     ?(profile = fun _ -> None) ?provenance ?san (bench : Kernels.Bench.t)
