@@ -47,13 +47,6 @@ type flavor =
   | F_inter  (** Inter-Group: global stores compared via the comm buffer *)
   | F_tmr  (** TMR: global stores majority-voted (trap on 3-way split) *)
 
-let flavor_name = function
-  | F_original -> "original"
-  | F_intra_plus -> "intra+lds"
-  | F_intra_minus -> "intra-lds"
-  | F_inter -> "inter"
-  | F_tmr -> "tmr"
-
 type violation = {
   v_site : Site.id;  (** site of the offending store *)
   v_inst : string;  (** rendered instruction *)

@@ -47,11 +47,6 @@ let map_ndrange variant (nd : Gpu_sim.Geom.ndrange) =
   | Intra _ -> Intra_group.map_ndrange nd
   | Inter _ -> Inter_group.map_ndrange nd
 
-(** Does the variant append the counter + communication buffers? *)
-let needs_extra_buffers = function
-  | Inter _ -> true
-  | Original | Intra _ -> false
-
 (** Extra launch state for a variant: the arguments to append and a
     [reset] to call before every kernel launch (the Inter-Group group-id
     counter must restart from zero each launch; the hand-off flags return

@@ -24,8 +24,6 @@ val apply : variant -> local_items:int -> Gpu_ir.Types.kernel -> Gpu_ir.Types.ke
 val map_ndrange : variant -> Gpu_sim.Geom.ndrange -> Gpu_sim.Geom.ndrange
 (** Adapt the original NDRange for the transformed kernel. *)
 
-val needs_extra_buffers : variant -> bool
-
 type extras = {
   ex_args : Gpu_sim.Device.arg list;  (** arguments to append *)
   reset : unit -> unit;  (** call before every launch *)

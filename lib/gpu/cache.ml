@@ -23,8 +23,6 @@ let create ~bytes ~line_bytes ~assoc =
     tick = 0;
   }
 
-let line_addr t addr = addr - (addr mod t.line_bytes)
-
 let set_of t line = line / t.line_bytes mod t.n_sets
 
 (** [probe t line] is true when [line] is resident; does not update LRU. *)
@@ -83,7 +81,3 @@ let random_resident_line t ~seed =
         if t.tags.(idx) >= 0 then Some t.tags.(idx) else go (i + 1)
     in
     go 0
-
-(** Number of resident lines (for tests). *)
-let resident_count t =
-  Array.fold_left (fun acc tag -> if tag >= 0 then acc + 1 else acc) 0 t.tags

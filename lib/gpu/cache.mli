@@ -5,7 +5,6 @@
 type t
 
 val create : bytes:int -> line_bytes:int -> assoc:int -> t
-val line_addr : t -> int -> int
 
 val probe : t -> int -> bool
 (** Residency check without LRU update. *)
@@ -20,5 +19,3 @@ val invalidate : t -> int -> unit
 
 val random_resident_line : t -> seed:int -> int option
 (** Pick a resident line for fault injection; [None] when empty. *)
-
-val resident_count : t -> int

@@ -114,7 +114,6 @@ let read_f32 dev buf i = F32.to_float (read_i32 dev buf i)
 let write_i32_array dev buf arr = Array.iteri (fun i v -> write_i32 dev buf i v) arr
 let write_f32_array dev buf arr = Array.iteri (fun i x -> write_f32 dev buf i x) arr
 let read_i32_array dev buf n = Array.init n (fun i -> read_i32 dev buf i)
-let read_f32_array dev buf n = Array.init n (fun i -> read_f32 dev buf i)
 let fill_i32 dev buf n v = for i = 0 to n - 1 do write_i32 dev buf i v done
 
 (* ------------------------------------------------------------------ *)

@@ -49,7 +49,6 @@ val read_f32 : t -> buffer -> int -> float
 val write_i32_array : t -> buffer -> int array -> unit
 val write_f32_array : t -> buffer -> float array -> unit
 val read_i32_array : t -> buffer -> int -> int array
-val read_f32_array : t -> buffer -> int -> float array
 val fill_i32 : t -> buffer -> int -> int -> unit
 
 (** {1 Launching} *)

@@ -67,4 +67,3 @@ val atomic_timed : t -> cu:int -> now:int -> int array -> n:int -> int
 (** {1 Fault injection} *)
 
 val inject_l1_poison : t -> cu:int -> seed:int -> bool
-val inject_memory_bit : t -> addr:int -> bit:int -> unit

@@ -1,38 +1,38 @@
 (** The paper's evaluation, experiment by experiment: one function per
     table and figure, each returning the regenerated content as text.
 
-    Results are cached per complete run fingerprint — (benchmark,
-    variant, scale, usage override, power window, device config) —
-    within a context, so that figures sharing runs (2/3/4, 6/7) do not
-    re-simulate. Runs execute on the context's {!Pool} of worker
-    domains: each figure first {e plans} its whole grid (submitting
-    every run it will need), then renders its report by awaiting the
-    cached futures in a fixed order, so the report text is byte-for-byte
-    identical at any [-j]. Progress goes to stderr (and may interleave
-    under [-j]); the report text is the return value. *)
+    Results are cached per run, keyed by exactly the run-affecting
+    parameters of {!Run.run} — (benchmark, variant, device config, scale,
+    optimize, usage override, power window) — within a context, so that
+    experiments sharing runs (figures 2/3/4, 6/7, the wave-64 and greedy
+    cells of the extension studies) do not re-simulate. Runs execute on
+    the context's {!Pool} of worker domains: each experiment first
+    {e plans} its whole grid (submitting every run it will need), then
+    renders its report by awaiting the cached futures in a fixed order,
+    so the report text is byte-for-byte identical at any [-j]. Progress
+    goes to stderr (and may interleave under [-j]); the report text is
+    the return value. *)
 
 module T = Rmt_core.Transform
-module Run_ = Run
 module Counters = Gpu_sim.Counters
 
-(* The cache key is a complete fingerprint of every run-affecting
-   parameter [get] can pass to [Run.run]. Display tags are deliberately
-   excluded: two runs that differ only in tag are the same run, and two
-   runs that differ in any simulated parameter can never collide, no
-   matter what tags callers pass (a fig5 windowed run never shadows a
-   fig2 run of the same bench/variant). *)
+(* The cache key is exactly the run-affecting parameters [get] passes to
+   [Run.run]: two runs share an entry precisely when they would simulate
+   the same thing. The device config is kept structurally, so two equal
+   configs built separately (a wave-64 or greedy variant of the default
+   device) are one run. *)
 type run_key = {
   k_bench : string;
   k_variant : string;  (* T.name is injective over variants *)
+  k_cfg : Gpu_sim.Config.t;
   k_scale : int;
-  k_usage : (int * int * int) option;  (* vgprs, sgprs, lds override *)
+  k_optimize : bool;
+  k_usage : Gpu_ir.Regpressure.usage option;
   k_window : int option;
-  k_cfg : string;  (* digest of the device configuration *)
 }
 
 type ctx = {
   cfg : Gpu_sim.Config.t;
-  cfg_fp : string;
   cache : (run_key, Run.summary Pool.future) Hashtbl.t;
   cache_lock : Mutex.t;
   pool : Pool.t;
@@ -42,7 +42,6 @@ type ctx = {
 let create_ctx ?(cfg = Gpu_sim.Config.default) ?(quick = false) ?jobs () =
   {
     cfg;
-    cfg_fp = Digest.to_hex (Digest.string (Marshal.to_string cfg []));
     cache = Hashtbl.create 64;
     cache_lock = Mutex.create ();
     pool = Pool.create ?jobs ();
@@ -58,44 +57,65 @@ let campaign_map ctx f xs = Pool.map ctx.pool f xs
 
 let progress fmt = Printf.eprintf (fmt ^^ "\n%!")
 
-let run_key ctx ~scale ~usage_override ~window_cycles
-    (bench : Kernels.Bench.t) variant =
-  {
-    k_bench = bench.id;
-    k_variant = T.name variant;
-    k_scale = scale;
-    k_usage =
-      Option.map
-        (fun (u : Gpu_ir.Regpressure.usage) -> (u.vgprs, u.sgprs, u.lds))
-        usage_override;
-    k_window = window_cycles;
-    k_cfg = ctx.cfg_fp;
-  }
+(* Runs on the context's device with [optimize] off keep their plain
+   labels; every other axis adds a component, so labels are unique. An
+   off-context device is named by a digest of the whole config. *)
+let key_label ctx (k : run_key) =
+  String.concat "/"
+    ([ k.k_bench; k.k_variant ]
+    @ (if k.k_cfg = ctx.cfg then []
+       else
+         [
+           "cfg-"
+           ^ String.sub
+               (Digest.to_hex
+                  (Digest.string (Marshal.to_string k.k_cfg [ Marshal.No_sharing ])))
+               0 8;
+         ])
+    @ (if k.k_scale <> 1 then [ Printf.sprintf "x%d" k.k_scale ] else [])
+    @ (if k.k_optimize then [ "opt" ] else [])
+    @ (match k.k_window with
+      | Some w -> [ Printf.sprintf "w%d" w ]
+      | None -> [])
+    @
+    match k.k_usage with
+    | Some u -> [ Printf.sprintf "inflated-v%d-s%d-l%d" u.vgprs u.sgprs u.lds ]
+    | None -> [])
 
 (* Look up the future for a run, submitting it to the pool on a miss.
    The cache is mutex-guarded; the submitted task touches neither the
    cache nor its lock (workers never submit work), so this cannot
    deadlock even when [jobs = 1] runs the task inline. *)
-let find_or_submit ctx ?(tag = "") ?(scale = 1) ?usage_override ?window_cycles
-    (bench : Kernels.Bench.t) variant : Run.summary Pool.future =
-  let key = run_key ctx ~scale ~usage_override ~window_cycles bench variant in
+let find_or_submit ctx ?(cfg = ctx.cfg) ?(scale = 1) ?(optimize = false)
+    ?usage_override ?window_cycles (bench : Kernels.Bench.t) variant :
+    Run.summary Pool.future =
+  let key =
+    {
+      k_bench = bench.id;
+      k_variant = T.name variant;
+      k_cfg = cfg;
+      k_scale = scale;
+      k_optimize = optimize;
+      k_usage = usage_override;
+      k_window = window_cycles;
+    }
+  in
   Mutex.lock ctx.cache_lock;
   match Hashtbl.find_opt ctx.cache key with
   | Some fut ->
       Mutex.unlock ctx.cache_lock;
       fut
   | None ->
-      progress "  running %-8s %s%s" bench.id (T.name variant)
-        (if tag = "" then "" else " [" ^ tag ^ "]");
+      let label = key_label ctx key in
+      progress "  running %s" label;
       let fut =
         Pool.submit ctx.pool (fun () ->
             let s =
-              Run.run ~cfg:ctx.cfg ~scale ?usage_override ?window_cycles bench
+              Run.run ~cfg ~scale ~optimize ?usage_override ?window_cycles bench
                 variant
             in
             (if not s.verified then
-               progress "  WARNING: %s %s failed verification (%s)" bench.id
-                 (T.name variant)
+               progress "  WARNING: %s failed verification (%s)" label
                  (Run.outcome_name s.outcome));
             s)
       in
@@ -103,31 +123,22 @@ let find_or_submit ctx ?(tag = "") ?(scale = 1) ?usage_override ?window_cycles
       Mutex.unlock ctx.cache_lock;
       fut
 
-let get ctx ?tag ?scale ?usage_override ?window_cycles
+let get ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
     (bench : Kernels.Bench.t) variant : Run.summary =
   Pool.await
-    (find_or_submit ctx ?tag ?scale ?usage_override ?window_cycles bench
-       variant)
+    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
+       bench variant)
 
-let prefetch ctx ?tag ?scale ?usage_override ?window_cycles
+let prefetch ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
     (bench : Kernels.Bench.t) variant : unit =
   ignore
-    (find_or_submit ctx ?tag ?scale ?usage_override ?window_cycles bench
-       variant)
+    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
+       bench variant)
 
 (* ---- observability hooks for the metrics-export layer ---- *)
 
 let pool_stats ctx = Pool.stats ctx.pool
 let pool_stats_line ctx = Pool.stats_line ctx.pool
-
-let key_label (k : run_key) =
-  String.concat "/"
-    ([ k.k_bench; k.k_variant ]
-    @ (if k.k_scale <> 1 then [ Printf.sprintf "x%d" k.k_scale ] else [])
-    @ (match k.k_window with
-      | Some w -> [ Printf.sprintf "w%d" w ]
-      | None -> [])
-    @ match k.k_usage with Some _ -> [ "inflated" ] | None -> [])
 
 (* Completed runs currently in the cache, labelled and sorted so the
    export is deterministic. Pending or failed futures are skipped — a
@@ -135,7 +146,7 @@ let key_label (k : run_key) =
 let cached_summaries ctx : (string * Run.summary) list =
   Mutex.lock ctx.cache_lock;
   let entries =
-    Hashtbl.fold (fun k fut acc -> (key_label k, fut) :: acc) ctx.cache []
+    Hashtbl.fold (fun k fut acc -> (key_label ctx k, fut) :: acc) ctx.cache []
   in
   Mutex.unlock ctx.cache_lock;
   List.filter_map
@@ -173,12 +184,13 @@ let table3 () =
 (* Figure 2: Intra-Group slowdowns                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Submit a figure's whole (bench x variant) grid up front, so the pool
-   works on every run while the report loop awaits them in order. *)
-let plan ctx ?(benches = Kernels.Registry.all) variants =
+(* Submit an experiment's whole (bench x variant) grid up front, so the
+   pool works on every run while the report loop awaits them in order. *)
+let plan ctx ?cfg ?scale ?optimize ?(benches = Kernels.Registry.all)
+    variants =
   List.iter
     (fun (b : Kernels.Bench.t) ->
-      List.iter (fun v -> prefetch ctx b v) variants)
+      List.iter (fun v -> prefetch ctx ?cfg ?scale ?optimize b v) variants)
     benches
 
 let fig2 ctx =
@@ -237,7 +249,7 @@ let components ctx (b : Kernels.Bench.t) ~base ~(inflation : Gpu_ir.Regpressure.
   let inflated =
     match inflation with
     | Some u ->
-        Some (get ctx ~tag:"inflate" ~usage_override:u b T.Original)
+        Some (get ctx ~usage_override:u b T.Original)
     | None -> None
   in
   let nocomm = get ctx b nocomm_variant in
@@ -302,7 +314,7 @@ let fig4 ctx =
       List.iter
         (fun include_lds ->
           match intra_inflation_of ctx b ~base ~include_lds with
-          | Some u -> prefetch ctx ~tag:"inflate" ~usage_override:u b T.Original
+          | Some u -> prefetch ctx ~usage_override:u b T.Original
           | None -> ())
         [ true; false ])
     all_benches;
@@ -339,7 +351,7 @@ let fig7 ctx =
     (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
       match inter_inflation_of ctx b ~base with
-      | Some u -> prefetch ctx ~tag:"inflate" ~usage_override:u b T.Original
+      | Some u -> prefetch ctx ~usage_override:u b T.Original
       | None -> ())
     all_benches;
   let buf = Buffer.create 2048 in
@@ -383,7 +395,7 @@ let fig5 ctx =
     (fun (id, scale) ->
       let b = Kernels.Registry.find id in
       List.iter
-        (fun v -> prefetch ctx ~tag:"pw" ~scale ~window_cycles:fig5_window b v)
+        (fun v -> prefetch ctx ~scale ~window_cycles:fig5_window b v)
         [ T.Original; T.intra_plus_lds; T.intra_minus_lds ])
     fig5_kernels;
   let buf = Buffer.create 1024 in
@@ -395,7 +407,7 @@ let fig5 ctx =
       let b = Kernels.Registry.find id in
       List.iter
         (fun (v, name) ->
-          let s = get ctx ~tag:"pw" ~scale ~window_cycles:fig5_window b v in
+          let s = get ctx ~scale ~window_cycles:fig5_window b v in
           let rep =
             Gpu_power.Power_model.report ~cfg:ctx.cfg ~windows:s.Run.windows
               ~fallback:s.Run.counters ()
@@ -587,18 +599,8 @@ let coverage ctx =
 (* ------------------------------------------------------------------ *)
 
 let opt_ablation ctx =
-  (* optimized runs bypass the cache (the fingerprint has no [optimize]
-     axis, and nothing else reuses them) but still fan out on the pool *)
   plan ctx [ T.Original; T.intra_plus_lds ];
-  let opt_futures =
-    List.map
-      (fun (b : Kernels.Bench.t) ->
-        progress "  running %-8s %s [optimized]" b.id (T.name T.intra_plus_lds);
-        ( b,
-          Pool.submit ctx.pool (fun () ->
-              Run.run ~cfg:ctx.cfg ~optimize:true b T.intra_plus_lds) ))
-      all_benches
-  in
+  plan ctx ~optimize:true [ T.intra_plus_lds ];
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: optimizer ablation — Intra-Group+LDS slowdown and VGPR \
@@ -606,17 +608,15 @@ let opt_ablation ctx =
   Report.row buf "%-8s %10s %10s %12s %12s" "kernel" "unopt" "optimized"
     "VGPRs unopt" "VGPRs opt";
   List.iter
-    (fun ((b : Kernels.Bench.t), fut) ->
+    (fun (b : Kernels.Bench.t) ->
       let base = get ctx b T.Original in
       let rmt = get ctx b T.intra_plus_lds in
-      let opt = Pool.await fut in
-      if not opt.Run.verified then
-        progress "  WARNING: optimized %s failed verification" b.id;
+      let opt = get ctx ~optimize:true b T.intra_plus_lds in
       Report.row buf "%-8s %9.2fx %9.2fx %12d %12d" b.id
         (Run.slowdown ~base rmt) (Run.slowdown ~base opt)
         rmt.Run.usage.Gpu_ir.Regpressure.vgprs
         opt.Run.usage.Gpu_ir.Regpressure.vgprs)
-    opt_futures;
+    all_benches;
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -745,30 +745,27 @@ let tmr ctx =
 (* ------------------------------------------------------------------ *)
 
 let wavesize ctx =
+  let benches =
+    List.map Kernels.Registry.find [ "BinS"; "BlkSch"; "DWT"; "R"; "SF"; "URNG" ]
+  in
+  let at ws = { ctx.cfg with Gpu_sim.Config.wave_size = ws } in
+  List.iter
+    (fun ws -> plan ctx ~cfg:(at ws) ~benches [ T.Original; T.intra_plus_lds ])
+    [ 64; 32; 16 ];
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: Intra-Group+LDS slowdown vs wavefront size";
   Report.row buf "%-8s %8s %8s %8s" "kernel" "wave=64" "wave=32" "wave=16";
-  let submit_slowdown_at ws (b : Kernels.Bench.t) =
-    progress "  running %-8s wave=%d" b.id ws;
-    Pool.submit ctx.pool (fun () ->
-        let cfg = { ctx.cfg with Gpu_sim.Config.wave_size = ws } in
-        let base = Run.run ~cfg b T.Original in
-        let rmt = Run.run ~cfg b T.intra_plus_lds in
-        if not (base.Run.verified && rmt.Run.verified) then
-          progress "  WARNING: %s wave=%d failed verification" b.id ws;
-        Run.slowdown ~base rmt)
-  in
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      (b, List.map (fun ws -> submit_slowdown_at ws b) [ 64; 32; 16 ]))
-    [ "BinS"; "BlkSch"; "DWT"; "R"; "SF"; "URNG" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), cells) ->
-         match List.map Pool.await cells with
-         | [ s64; s32; s16 ] ->
-             Report.row buf "%-8s %7.2fx %7.2fx %7.2fx" b.id s64 s32 s16
-         | _ -> assert false);
+  List.iter
+    (fun (b : Kernels.Bench.t) ->
+      let slowdown ws =
+        let cfg = at ws in
+        Run.slowdown ~base:(get ctx ~cfg b T.Original)
+          (get ctx ~cfg b T.intra_plus_lds)
+      in
+      Report.row buf "%-8s %7.2fx %7.2fx %7.2fx" b.id (slowdown 64)
+        (slowdown 32) (slowdown 16))
+    benches;
   Report.row buf
     "(on this device model smaller wavefronts mostly RAISE Intra-Group";
   Report.row buf
@@ -778,10 +775,6 @@ let wavesize ctx =
   Report.row buf
     " paper's call to let the compiler pick the size per application)";
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-
-
 
 (* ------------------------------------------------------------------ *)
 (* Per-kernel diagnosis, reproducing the paper's Section 6.4 analysis   *)
@@ -840,7 +833,6 @@ let explain ctx =
           "         occupancy drops under RMT (%s -> %s): scheduling cost"
           (Gpu_sim.Occupancy.to_string base.Run.occupancy)
           (Gpu_sim.Occupancy.to_string plus.Run.occupancy);
-      ignore dominant;
       Report.row buf "         classified as %s by counters" dominant)
     all_benches;
   Buffer.contents buf
@@ -885,42 +877,33 @@ let naive ctx =
   Report.row buf "on the GPU before corrupt stores leave the SoR.";
   Buffer.contents buf
 
-
-
 (* ------------------------------------------------------------------ *)
 (* Extension: wavefront scheduling policy                               *)
 (* ------------------------------------------------------------------ *)
 
 let schedpolicy ctx =
+  let benches = List.map Kernels.Registry.find [ "BO"; "MM"; "R"; "SC"; "SF" ] in
+  let under policy = { ctx.cfg with Gpu_sim.Config.sched_policy = policy } in
+  List.iter
+    (fun policy ->
+      plan ctx ~cfg:(under policy) ~benches [ T.Original; T.intra_plus_lds ])
+    [ Gpu_sim.Config.Greedy; Gpu_sim.Config.Round_robin ];
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: greedy vs round-robin wavefront scheduling under \
      Intra-Group+LDS";
   Report.row buf "%-8s %12s %12s %14s %14s" "kernel" "greedy base"
     "greedy RMT" "round-robin" "rr RMT";
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      let submit_run policy variant =
-        progress "  running %-8s %s [%s]" b.id (T.name variant)
-          (match policy with
-          | Gpu_sim.Config.Greedy -> "greedy"
-          | Gpu_sim.Config.Round_robin -> "rr");
-        Pool.submit ctx.pool (fun () ->
-            let cfg = { ctx.cfg with Gpu_sim.Config.sched_policy = policy } in
-            Run.run ~cfg b variant)
-      in
-      ( b,
-        submit_run Gpu_sim.Config.Greedy T.Original,
-        submit_run Gpu_sim.Config.Greedy T.intra_plus_lds,
-        submit_run Gpu_sim.Config.Round_robin T.Original,
-        submit_run Gpu_sim.Config.Round_robin T.intra_plus_lds ))
-    [ "BO"; "MM"; "R"; "SC"; "SF" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), gb, gr, rb, rr) ->
-         let gb = Pool.await gb and gr = Pool.await gr in
-         let rb = Pool.await rb and rr = Pool.await rr in
-         Report.row buf "%-8s %11dc %11.2fx %13dc %13.2fx" b.id gb.Run.cycles
-           (Run.slowdown ~base:gb gr) rb.Run.cycles (Run.slowdown ~base:rb rr));
+  List.iter
+    (fun (b : Kernels.Bench.t) ->
+      let run policy v = get ctx ~cfg:(under policy) b v in
+      let gb = run Gpu_sim.Config.Greedy T.Original in
+      let gr = run Gpu_sim.Config.Greedy T.intra_plus_lds in
+      let rb = run Gpu_sim.Config.Round_robin T.Original in
+      let rr = run Gpu_sim.Config.Round_robin T.intra_plus_lds in
+      Report.row buf "%-8s %11dc %11.2fx %13dc %13.2fx" b.id gb.Run.cycles
+        (Run.slowdown ~base:gb gr) rb.Run.cycles (Run.slowdown ~base:rb rr))
+    benches;
   Report.row buf
     "(the paper attributes some accidental RMT speedups to the greedy";
   Report.row buf
@@ -1001,92 +984,6 @@ let paper_compare ctx =
       let b = Kernels.Registry.find id in
       let base = get ctx b T.Original in
       Run.slowdown ~base (get ctx b T.inter_group));
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* CSV export                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let write_csv dir name header rows =
-  let path = Filename.concat dir name in
-  let oc = open_out path in
-  output_string oc (String.concat "," header ^ "\n");
-  List.iter (fun r -> output_string oc (String.concat "," r ^ "\n")) rows;
-  close_out oc;
-  path
-
-(** Export the headline figure series as CSV files into [dir] for
-    external plotting ([benches] restricts the kernel set). Returns a
-    report of what was written. *)
-let export ?(dir = "results") ?(benches = all_benches) ctx =
-  let all_benches = benches in
-  plan ctx ~benches
-    [
-      T.Original; T.intra_plus_lds; T.intra_minus_lds; T.intra_plus_lds_fast;
-      T.intra_minus_lds_fast; T.inter_group;
-    ];
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let buf = Buffer.create 512 in
-  Report.heading buf ("CSV export to " ^ dir ^ "/");
-  let slow v b = Run.slowdown ~base:(get ctx b T.Original) (get ctx b v) in
-  let p1 =
-    write_csv dir "fig2_intra_slowdowns.csv"
-      [ "kernel"; "intra_plus_lds"; "intra_minus_lds" ]
-      (List.map
-         (fun (b : Kernels.Bench.t) ->
-           [
-             b.id;
-             Printf.sprintf "%.4f" (slow T.intra_plus_lds b);
-             Printf.sprintf "%.4f" (slow T.intra_minus_lds b);
-           ])
-         all_benches)
-  in
-  let p2 =
-    write_csv dir "fig6_inter_slowdowns.csv"
-      [ "kernel"; "inter_group" ]
-      (List.map
-         (fun (b : Kernels.Bench.t) ->
-           [ b.id; Printf.sprintf "%.4f" (slow T.inter_group b) ])
-         all_benches)
-  in
-  let p3 =
-    let n_cus = ctx.cfg.Gpu_sim.Config.n_cus in
-    let simds = ctx.cfg.Gpu_sim.Config.simds_per_cu in
-    write_csv dir "fig3_counters.csv"
-      [ "kernel"; "version"; "valu_busy_pct"; "mem_unit_busy_pct";
-        "write_unit_stalled_pct"; "lds_busy_pct" ]
-      (List.concat_map
-         (fun (b : Kernels.Bench.t) ->
-           List.map
-             (fun (v, name) ->
-               let c = (get ctx b v).Run.counters in
-               [
-                 b.id; name;
-                 Printf.sprintf "%.2f"
-                   (Counters.valu_busy_pct ~n_cus ~simds_per_cu:simds c);
-                 Printf.sprintf "%.2f" (Counters.mem_unit_busy_pct ~n_cus c);
-                 Printf.sprintf "%.2f" (Counters.write_unit_stalled_pct ~n_cus c);
-                 Printf.sprintf "%.2f" (Counters.lds_busy_pct ~n_cus c);
-               ])
-             [ (T.Original, "original"); (T.intra_plus_lds, "intra_plus");
-               (T.intra_minus_lds, "intra_minus") ])
-         all_benches)
-  in
-  let p4 =
-    write_csv dir "fig9_fast_comm.csv"
-      [ "kernel"; "plus_lds"; "plus_lds_fast"; "minus_lds"; "minus_lds_fast" ]
-      (List.map
-         (fun (b : Kernels.Bench.t) ->
-           [
-             b.id;
-             Printf.sprintf "%.4f" (slow T.intra_plus_lds b);
-             Printf.sprintf "%.4f" (slow T.intra_plus_lds_fast b);
-             Printf.sprintf "%.4f" (slow T.intra_minus_lds b);
-             Printf.sprintf "%.4f" (slow T.intra_minus_lds_fast b);
-           ])
-         all_benches)
-  in
-  List.iter (fun p -> Report.row buf "wrote %s" p) [ p1; p2; p3; p4 ];
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
@@ -1218,34 +1115,29 @@ let big_cfg (cfg : Gpu_sim.Config.t) =
   { cfg with Gpu_sim.Config.n_cus = 32; dram_bytes_per_cycle = 160.0 }
 
 let devscale ctx =
+  let benches = List.map Kernels.Registry.find [ "BinS"; "BlkSch"; "FWT"; "R"; "SF" ] in
+  let small = ctx.cfg and big = big_cfg ctx.cfg in
+  List.iter
+    (fun cfg ->
+      plan ctx ~cfg ~scale:2 ~benches
+        [ T.Original; T.intra_plus_lds; T.inter_group ])
+    [ small; big ];
   let buf = Buffer.create 1024 in
   Report.heading buf
-    "Extension: RMT cost vs device size (12 CUs / 96 B-per-cycle DRAM      against 32 CUs / 160 B-per-cycle)";
+    "Extension: RMT cost vs device size (12 CUs / 96 B-per-cycle DRAM \
+     against 32 CUs / 160 B-per-cycle)";
   Report.row buf "%-8s %12s %12s %12s %12s" "kernel" "small intra"
     "big intra" "small inter" "big inter";
-  List.map
-    (fun id ->
-      let b = Kernels.Registry.find id in
-      let submit_slow cfg variant =
-        progress "  running %-8s %s [%d CUs]" b.id (T.name variant)
-          cfg.Gpu_sim.Config.n_cus;
-        Pool.submit ctx.pool (fun () ->
-            let base = Run.run ~cfg ~scale:2 b T.Original in
-            Run.slowdown ~base (Run.run ~cfg ~scale:2 b variant))
+  List.iter
+    (fun (b : Kernels.Bench.t) ->
+      let slowdown cfg v =
+        Run.slowdown ~base:(get ctx ~cfg ~scale:2 b T.Original)
+          (get ctx ~cfg ~scale:2 b v)
       in
-      let small = ctx.cfg and big = big_cfg ctx.cfg in
-      ( b,
-        [
-          submit_slow small T.intra_plus_lds; submit_slow big T.intra_plus_lds;
-          submit_slow small T.inter_group; submit_slow big T.inter_group;
-        ] ))
-    [ "BinS"; "BlkSch"; "FWT"; "R"; "SF" ]
-  |> List.iter (fun ((b : Kernels.Bench.t), cells) ->
-         match List.map Pool.await cells with
-         | [ si; bi; sg; bg ] ->
-             Report.row buf "%-8s %11.2fx %11.2fx %11.2fx %11.2fx" b.id si bi
-               sg bg
-         | _ -> assert false);
+      Report.row buf "%-8s %11.2fx %11.2fx %11.2fx %11.2fx" b.id
+        (slowdown small T.intra_plus_lds) (slowdown big T.intra_plus_lds)
+        (slowdown small T.inter_group) (slowdown big T.inter_group))
+    benches;
   Report.row buf
     "(more CUs per byte of DRAM bandwidth squeeze the memory-bound";
   Report.row buf
@@ -1325,7 +1217,9 @@ let coststatic ctx =
   plan ctx (T.Original :: List.map snd coststatic_variants);
   let buf = Buffer.create 2048 in
   Report.heading buf
-    "Extension: static cost model vs measured launches (gpu_tv      reconciliation; stores column is measured/baseline vs the predicted      bound)";
+    "Extension: static cost model vs measured launches (gpu_tv \
+     reconciliation; stores column is measured/baseline vs the predicted \
+     bound)";
   Report.row buf "%-8s %-10s %17s %9s %11s  %s" "kernel" "version"
     "predicted v/s/lds" "occupancy" "stores" "verdict";
   let disagreements = ref 0 in
@@ -1398,18 +1292,14 @@ let registry : (string * (ctx -> string)) list =
     ("coststatic", coststatic);
     ("explain", explain);
     ("compare", paper_compare);
-    ("export", fun ctx -> export ctx);
   ]
 
-(* CSV export writes files, so "everything" leaves it out. *)
-let all_entries = List.filter (fun (name, _) -> name <> "export") registry
-
-let all ctx = String.concat "" (List.map (fun (_, f) -> f ctx) all_entries)
+let all ctx = String.concat "" (List.map (fun (_, f) -> f ctx) registry)
 
 let select names =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
-    | "all" :: rest -> go (List.rev_append all_entries acc) rest
+    | "all" :: rest -> go (List.rev_append registry acc) rest
     | name :: rest -> (
         match List.assoc_opt name registry with
         | Some f -> go ((name, f) :: acc) rest

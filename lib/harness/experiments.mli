@@ -2,12 +2,13 @@
     table and figure plus the extension studies, each returning its
     regenerated content as text.
 
-    Runs are cached per complete fingerprint (benchmark, variant, scale,
-    usage override, power window, device config) and executed on the
-    context's {!Pool} of worker domains: each figure plans its whole run
-    grid up front, then renders by awaiting the cached results in a
-    fixed order. Report text is therefore byte-identical at any worker
-    count; only stderr progress lines may interleave. *)
+    Runs are cached per {!Run.run} parameter set (benchmark, variant,
+    device config, scale, optimize, usage override, power window) and
+    executed on the context's {!Pool} of worker domains: each experiment
+    plans its whole run grid up front, then renders by awaiting the
+    cached results in a fixed order. Report text is therefore
+    byte-identical at any worker count; only stderr progress lines may
+    interleave. *)
 
 type ctx
 
@@ -35,26 +36,31 @@ val pool_stats_line : ctx -> string
 
 val cached_summaries : ctx -> (string * Run.summary) list
 (** Completed runs currently in the cache, labelled
-    ["bench/variant[/xS][/wW][/inflated]"] and sorted by label. Pending
-    and failed runs are skipped (never blocks). *)
+    ["bench/variant[/cfg-D][/xS][/opt][/wW][/inflated-vV-sS-lL]"] (each
+    component present only off its default; [D] digests a device config
+    other than the context's) and sorted by label. Pending and failed
+    runs are skipped (never blocks). *)
 
 val get :
   ctx ->
-  ?tag:string ->
+  ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
+  ?optimize:bool ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?window_cycles:int ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   Run.summary
 (** Cached {!Run.run}: submits the run to the pool on a cache miss and
-    awaits it. The cache key fingerprints every run-affecting parameter
-    ([tag] is display-only and deliberately excluded). *)
+    awaits it. The cache key is exactly these parameters; [cfg] defaults
+    to the context's and is compared structurally, so equal configs
+    built separately share one run. *)
 
 val prefetch :
   ctx ->
-  ?tag:string ->
+  ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
+  ?optimize:bool ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?window_cycles:int ->
   Kernels.Bench.t ->
@@ -152,10 +158,6 @@ val coststatic : ctx -> string
 (** {!Gpu_tv.Costmodel} predictions for every registry kernel,
     reconciled against the simulator's measured launches. *)
 
-val export : ?dir:string -> ?benches:Kernels.Bench.t list -> ctx -> string
-(** Write the headline figure series as CSV files; returns a report of
-    the paths written. *)
-
 (** {1 The experiment registry} *)
 
 val registry : (string * (ctx -> string)) list
@@ -163,9 +165,9 @@ val registry : (string * (ctx -> string)) list
     [rmtgpu exp] resolves names against. *)
 
 val all : ctx -> string
-(** Every {!registry} entry except ["export"], concatenated in order. *)
+(** Every {!registry} entry, concatenated in order. *)
 
 val select : string list -> ((string * (ctx -> string)) list, string) result
 (** Resolve names against {!registry}, keeping their order; ["all"]
-    expands to the entries {!all} runs. [Error] names the first unknown
+    expands to the whole registry. [Error] names the first unknown
     name and lists the valid ones. *)

@@ -86,6 +86,17 @@ let to_str path key = function
   | Json.Str s -> s
   | _ -> fail "%s: field %S is not a string" path key
 
+(* Entries are matched by name, so a repeated one would let the gate
+   silently compare only its first copy. *)
+let unique path what entries =
+  let rec go seen = function
+    | [] -> entries
+    | (name, _) :: rest ->
+        if List.mem name seen then fail "%s: duplicate %s %S" path what name
+        else go (name :: seen) rest
+  in
+  go [] entries
+
 (** [(name, wall_s)] per experiment. *)
 let experiments path doc =
   match Json.to_list (member_exn path "experiments" doc) with
@@ -96,6 +107,7 @@ let experiments path doc =
           ( to_str path "name" (member_exn path "name" e),
             to_num path "wall_s" (member_exn path "wall_s" e) ))
         xs
+      |> unique path "experiment name"
 
 (** [(label, counter assoc)] per run, keeping only the gated counters. *)
 let runs path doc =
@@ -116,6 +128,7 @@ let runs path doc =
           in
           (label, fields))
         xs
+      |> unique path "run label"
 
 let rev path doc =
   match Json.member "rev" doc with Some (Json.Str r) -> r | _ -> path

@@ -30,7 +30,8 @@ val gated_counters : string list
     stalls, spin iterations). *)
 
 exception Bad_file of string
-(** Unreadable or malformed trajectory file. *)
+(** Unreadable or malformed trajectory file, including one that repeats
+    a run label or an experiment name. *)
 
 val diff :
   ?thresholds:thresholds ->
@@ -40,7 +41,8 @@ val diff :
   Gpu_trace.Json.t ->
   finding list
 (** Diff two parsed trajectory documents ([old_path]/[new_path] label
-    error messages only). Regressions come first, then info notes. *)
+    error messages only). Regressions come first, then info notes.
+    @raise Bad_file on a malformed document. *)
 
 val diff_files :
   ?thresholds:thresholds ->

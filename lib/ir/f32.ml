@@ -24,11 +24,3 @@ let to_float (v : int) : float = Int32.float_of_bits (Int32.of_int v)
 
 (** Round a double to the nearest binary32 value (as a float). *)
 let round (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
-
-(** Apply a unary double-precision function with binary32 rounding, on bit
-    patterns. *)
-let lift1 f v = of_float (f (to_float v))
-
-(** Apply a binary double-precision function with binary32 rounding, on bit
-    patterns. *)
-let lift2 f a b = of_float (f (to_float a) (to_float b))

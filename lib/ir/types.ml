@@ -154,8 +154,6 @@ let lds_bytes (k : kernel) =
 (** Number of parameters. *)
 let param_count (k : kernel) = List.length k.params
 
-let space_equal (a : space) (b : space) = a = b
-
 (** [iter_inst f body] applies [f] to every instruction in program order,
     entering both branches of conditionals and loop headers before bodies. *)
 let rec iter_inst f (body : stmt list) =

@@ -38,6 +38,3 @@ val report :
   unit ->
   report
 (** Runs shorter than one window yield a single sample over [fallback]. *)
-
-val run_energy :
-  ?c:coefficients -> cfg:Gpu_sim.Config.t -> Gpu_sim.Device.result -> float

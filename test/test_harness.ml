@@ -192,31 +192,8 @@ let test_sched_policy_changes_schedule () =
   check Alcotest.bool "greedy verified" true g.Harness.Run.verified;
   check Alcotest.bool "round-robin verified" true r.Harness.Run.verified
 
-let test_csv_export () =
-  let dir = Filename.temp_file "rmt" "" in
-  Sys.remove dir;
-  let ctx = Harness.Experiments.create_ctx () in
-  (* pre-warm the cache with just one kernel pair to keep this test fast
-     is not possible through the public API; use the small config rather *)
-  ignore ctx;
-  let ctx = Harness.Experiments.create_ctx ~cfg:Gpu_sim.Config.default () in
-  let benches = [ Kernels.Registry.find "PS"; Kernels.Registry.find "SF" ] in
-  let report = Harness.Experiments.export ~dir ~benches ctx in
-  check Alcotest.bool "mentions fig2 csv" true
-    (string_contains report "fig2_intra_slowdowns.csv");
-  let csv =
-    In_channel.with_open_text
-      (Filename.concat dir "fig2_intra_slowdowns.csv")
-      In_channel.input_all
-  in
-  check Alcotest.bool "header present" true
-    (string_contains csv "kernel,intra_plus_lds,intra_minus_lds");
-  check Alcotest.bool "2 kernels + header" true
-    (List.length (String.split_on_char '\n' (String.trim csv)) = 3)
-
-(* The one experiment table: unique names, "all" is every entry but
-   the file-writing export, and a typo is an error rather than an empty
-   selection. *)
+(* The one experiment table: unique names, "all" is the whole registry,
+   and a typo is an error rather than an empty selection. *)
 let test_registry () =
   let names = List.map fst Harness.Experiments.registry in
   check Alcotest.int "names unique" (List.length names)
@@ -228,9 +205,7 @@ let test_registry () =
   in
   check
     Alcotest.(list string)
-    "all = registry minus export"
-    (List.filter (( <> ) "export") names)
-    (selected [ "all" ]);
+    "all = registry" names (selected [ "all" ]);
   check
     Alcotest.(list string)
     "order kept" [ "fig2"; "table1" ] (selected [ "fig2"; "table1" ]);
@@ -247,7 +222,6 @@ let extension_suite =
     tc "naive duplication" `Quick test_naive_duplication;
     tc "spearman" `Quick test_spearman;
     tc "sched policy" `Quick test_sched_policy_changes_schedule;
-    tc "csv export" `Slow test_csv_export;
   ]
 
 let suite = base_suite @ recovery_suite @ extension_suite

@@ -114,21 +114,74 @@ let test_cache_key_usage_override () =
     (s2.Harness.Run.occupancy.Gpu_sim.Occupancy.waves_per_cu
     <= s1.Harness.Run.occupancy.Gpu_sim.Occupancy.waves_per_cu)
 
-(* Tags are display-only: two gets differing only in tag are one run. *)
-let test_cache_key_ignores_tag () =
+(* The device config is keyed structurally: an equal config built
+   separately is the same run (wavesize's wave-64 cells reuse fig2's),
+   a different one is a distinct run, cached on repeat. *)
+let test_cache_key_cfg () =
   let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
   let b = Kernels.Registry.find "PS" in
-  let s1 = Harness.Experiments.get ctx ~tag:"a" b T.Original in
-  let s2 = Harness.Experiments.get ctx ~tag:"b" b T.Original in
+  let rr () =
+    { Gpu_sim.Config.default with sched_policy = Gpu_sim.Config.Round_robin }
+  in
+  let s1 = Harness.Experiments.get ctx b T.Original in
+  let s2 =
+    Harness.Experiments.get ctx
+      ~cfg:{ Gpu_sim.Config.default with wave_size = 64 }
+      b T.Original
+  in
+  let s3 = Harness.Experiments.get ctx ~cfg:(rr ()) b T.Original in
+  let s4 = Harness.Experiments.get ctx ~cfg:(rr ()) b T.Original in
   Harness.Experiments.shutdown ctx;
-  check Alcotest.bool "tag does not shadow the fingerprint" true (s1 == s2)
+  check Alcotest.bool "equal config shares the entry" true (s1 == s2);
+  check Alcotest.bool "round-robin run is a distinct summary" true (s1 != s3);
+  check Alcotest.bool "round-robin key cached" true (s3 == s4)
+
+let test_cache_key_optimize () =
+  let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
+  let b = Kernels.Registry.find "PS" in
+  let s1 = Harness.Experiments.get ctx b T.intra_plus_lds in
+  let s2 = Harness.Experiments.get ctx ~optimize:true b T.intra_plus_lds in
+  let s3 = Harness.Experiments.get ctx ~optimize:true b T.intra_plus_lds in
+  let s4 = Harness.Experiments.get ctx ~optimize:false b T.intra_plus_lds in
+  Harness.Experiments.shutdown ctx;
+  check Alcotest.bool "optimized run is a distinct summary" true (s1 != s2);
+  check Alcotest.bool "optimized key cached" true (s2 == s3);
+  check Alcotest.bool "explicit default is the plain run" true (s1 == s4)
+
+(* Every axis off its default adds a label component, so labels stay
+   unique; runs on the context's device with optimize off keep the
+   labels earlier trajectories recorded. *)
+let test_cache_labels () =
+  let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
+  let b = Kernels.Registry.find "PS" in
+  let get = Harness.Experiments.get ctx in
+  let s = get b T.Original in
+  let u = { s.Harness.Run.usage with Gpu_ir.Regpressure.vgprs = 200 } in
+  ignore (get ~window_cycles:500 b T.Original);
+  ignore (get ~usage_override:u b T.Original);
+  ignore (get ~usage_override:{ u with vgprs = 240 } b T.Original);
+  ignore
+    (get
+       ~cfg:{ Gpu_sim.Config.default with sched_policy = Gpu_sim.Config.Round_robin }
+       b T.Original);
+  ignore (get ~cfg:{ Gpu_sim.Config.default with wave_size = 32 } b T.Original);
+  ignore (get ~optimize:true b T.Original);
+  let labels = List.map fst (Harness.Experiments.cached_summaries ctx) in
+  Harness.Experiments.shutdown ctx;
+  check Alcotest.int "one label per run" 7
+    (List.length (List.sort_uniq compare labels));
+  List.iter
+    (fun l -> check Alcotest.bool ("label " ^ l) true (List.mem l labels))
+    [ "PS/Original"; "PS/Original/w500"; "PS/Original/opt" ]
 
 let cache_suite =
   [
     tc "cache key: window_cycles fingerprinted" `Quick test_cache_key_window;
     tc "cache key: usage_override fingerprinted" `Quick
       test_cache_key_usage_override;
-    tc "cache key: tag is display-only" `Quick test_cache_key_ignores_tag;
+    tc "cache key: config keyed structurally" `Quick test_cache_key_cfg;
+    tc "cache key: optimize fingerprinted" `Quick test_cache_key_optimize;
+    tc "cache key: labels unique" `Quick test_cache_labels;
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -491,6 +491,32 @@ let test_perfdiff_vanished_is_info_only () =
     (fun f -> check Alcotest.bool "info severity" true (f.PD.severity = PD.Info))
     fs
 
+(* Runs are matched by label: a repeated label (or experiment name)
+   would gate only its first copy, so the document is rejected. *)
+let test_perfdiff_rejects_duplicates () =
+  let doc = traj ~rev:"a" ~wall:1.0 ~cycles:1000 ~valu:500 in
+  let doubled key =
+    match doc with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) ->
+               match v with
+               | Json.List [ x ] when k = key -> (k, Json.List [ x; x ])
+               | _ -> (k, v))
+             fields)
+    | _ -> assert false
+  in
+  let rejected new_doc =
+    match d ~old_doc:doc ~new_doc with
+    | exception PD.Bad_file msg -> contains msg "duplicate"
+    | _ -> false
+  in
+  check Alcotest.bool "two runs with one label rejected" true
+    (rejected (doubled "runs"));
+  check Alcotest.bool "repeated experiment name rejected" true
+    (rejected (doubled "experiments"))
+
 let test_perfdiff_files_and_report () =
   let dir = Filename.temp_file "rmtgpu_pd" "" in
   Sys.remove dir;
@@ -547,4 +573,6 @@ let suite =
     tc "perfdiff: wall regression" `Quick test_perfdiff_flags_wall_regression;
     tc "perfdiff: vanished is info" `Quick test_perfdiff_vanished_is_info_only;
     tc "perfdiff: files and report" `Quick test_perfdiff_files_and_report;
+    tc "perfdiff: duplicate labels rejected" `Quick
+      test_perfdiff_rejects_duplicates;
   ]
