@@ -29,8 +29,6 @@ val default : opts
 val wgid_lds_name : string
 (** LDS slot used to broadcast the acquired group id. *)
 
-exception Unsupported of string
-
 val extra_params : Gpu_ir.Types.param list
 (** Parameters appended by the transform: the group counter and the
     communication buffer. *)

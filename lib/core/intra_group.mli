@@ -24,8 +24,9 @@ val comm_lds_name : string
 (** Name of the LDS communication buffer the transform allocates. *)
 
 exception Unsupported of string
-(** Raised for kernels the transform cannot protect (global atomics,
-    pre-existing traps — paper Sec. 6.2 leaves these to future work). *)
+(** Raised for kernels a transform cannot protect (global atomics,
+    pre-existing traps — paper Sec. 6.2 leaves these to future work).
+    The Inter-Group and TMR passes raise this same exception. *)
 
 val reject_unsupported : Gpu_ir.Types.kernel -> unit
 (** @raise Unsupported when the kernel uses unsupported features. *)

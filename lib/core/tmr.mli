@@ -9,12 +9,10 @@
 
 val comm_lds_name : string
 
-exception Unsupported of string
-
 val transform : local_items:int -> Gpu_ir.Types.kernel -> Gpu_ir.Types.kernel
 (** [transform ~local_items k]: [local_items] is the original (logical)
     flat work-group size. Launch the result with {!map_ndrange}.
-    @raise Unsupported when [3 * local_items > 64] or the kernel uses
+    @raise Intra_group.Unsupported when [3 * local_items > 64] or the kernel uses
     global atomics. *)
 
 val map_ndrange : Gpu_sim.Geom.ndrange -> Gpu_sim.Geom.ndrange

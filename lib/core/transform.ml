@@ -47,6 +47,18 @@ let map_ndrange variant (nd : Gpu_sim.Geom.ndrange) =
   | Intra _ -> Intra_group.map_ndrange nd
   | Inter _ -> Inter_group.map_ndrange nd
 
+(** A validated kernel version: the harness variants plus TMR. *)
+type target = V of variant | Tmr
+
+let target_name = function V v -> name v | Tmr -> "tmr"
+
+(** Transform [k] for [target] and adapt its original NDRange [nd]: the
+    one place TMR is transformed. *)
+let apply_target target ~local_items (k : kernel) nd =
+  match target with
+  | V v -> (apply v ~local_items k, map_ndrange v nd)
+  | Tmr -> (Tmr.transform ~local_items k, Tmr.map_ndrange nd)
+
 (** Extra launch state for a variant: the arguments to append and a
     [reset] to call before every kernel launch (the Inter-Group group-id
     counter must restart from zero each launch; the hand-off flags return

@@ -24,6 +24,18 @@ val apply : variant -> local_items:int -> Gpu_ir.Types.kernel -> Gpu_ir.Types.ke
 val map_ndrange : variant -> Gpu_sim.Geom.ndrange -> Gpu_sim.Geom.ndrange
 (** Adapt the original NDRange for the transformed kernel. *)
 
+(** Every kernel version the verification stack reasons about: the
+    harness variants plus {!Tmr}, which no registry workload can launch
+    (its tripled group must fit one wavefront). *)
+type target = V of variant | Tmr
+
+val target_name : target -> string
+
+val apply_target : target -> local_items:int -> Gpu_ir.Types.kernel ->
+  Gpu_sim.Geom.ndrange -> Gpu_ir.Types.kernel * Gpu_sim.Geom.ndrange
+(** The transformed kernel and its NDRange, adapted from the original.
+    @raise Intra_group.Unsupported when the pass rejects the kernel. *)
+
 type extras = {
   ex_args : Gpu_sim.Device.arg list;  (** arguments to append *)
   reset : unit -> unit;  (** call before every launch *)

@@ -650,16 +650,10 @@ let tmr_workload () =
 
 type tmr_run = { t_cycles : int; t_outcome : Gpu_sim.Device.outcome; t_ok : bool }
 
-let tmr_run_once ~flavor ?inject () : tmr_run =
-  let k0 = tmr_workload () in
+let tmr_run_once target ?inject () : tmr_run =
   let k, nd =
-    let nd0 = Gpu_sim.Geom.make_ndrange tmr_n tmr_wg in
-    match flavor with
-    | `Original -> (k0, nd0)
-    | `Dmr ->
-        ( T.apply T.intra_plus_lds ~local_items:tmr_wg k0,
-          T.map_ndrange T.intra_plus_lds nd0 )
-    | `Tmr -> (Rmt_core.Tmr.transform ~local_items:tmr_wg k0, Rmt_core.Tmr.map_ndrange nd0)
+    T.apply_target target ~local_items:tmr_wg (tmr_workload ())
+      (Gpu_sim.Geom.make_ndrange tmr_n tmr_wg)
   in
   let dev = Gpu_sim.Device.create Gpu_sim.Config.default in
   let input = Gpu_sim.Device.alloc dev (tmr_n * 4) in
@@ -687,9 +681,9 @@ let tmr ctx =
   let buf = Buffer.create 1024 in
   Report.heading buf
     "Extension: DMR (detect) vs TMR (correct) on a 3-point stencil";
-  let base = tmr_run_once ~flavor:`Original () in
-  let dmr = tmr_run_once ~flavor:`Dmr () in
-  let tmr_ = tmr_run_once ~flavor:`Tmr () in
+  let base = tmr_run_once (T.V T.Original) () in
+  let dmr = tmr_run_once (T.V T.intra_plus_lds) () in
+  let tmr_ = tmr_run_once T.Tmr () in
   Report.row buf "%-10s %8s %10s" "version" "cycles" "slowdown";
   Report.row buf "%-10s %8d %9.2fx" "original" base.t_cycles 1.0;
   Report.row buf "%-10s %8d %9.2fx" "DMR" dmr.t_cycles
@@ -698,7 +692,7 @@ let tmr ctx =
     (float_of_int tmr_.t_cycles /. float_of_int base.t_cycles);
   (* fault response: inject VGPR flips, compare dispositions *)
   let n_inj = if ctx.quick then 10 else 30 in
-  let tally flavor =
+  let tally target =
     (* independent injected runs: fan out on the pool, fold in order *)
     let runs =
       List.init n_inj (fun i -> i + 1)
@@ -712,7 +706,7 @@ let tmr ctx =
                      iseed = seed;
                    }
                  in
-                 tmr_run_once ~flavor ~inject ()))
+                 tmr_run_once target ~inject ()))
       |> List.map Pool.await
     in
     let aborted = ref 0 and correct = ref 0 and sdc = ref 0 and other = ref 0 in
@@ -725,8 +719,8 @@ let tmr ctx =
       runs;
     (!aborted, !correct, !sdc, !other)
   in
-  let da, dc, ds, do_ = tally `Dmr in
-  let ta, tc_, ts, to_ = tally `Tmr in
+  let da, dc, ds, do_ = tally (T.V T.intra_plus_lds) in
+  let ta, tc_, ts, to_ = tally T.Tmr in
   Report.row buf "";
   Report.row buf "%d VGPR bit flips each:" n_inj;
   Report.row buf
@@ -1163,31 +1157,21 @@ let table2static () =
        "Static Table 2/3: protection domains derived by gpu_tv (kernel: %s)"
        table2static_bench);
   let reports =
-    List.map
-      (fun (_, t) -> Gpu_tv.Domains.of_kernel t k0)
-      Lint.standard_targets
+    List.map (fun (_, t) -> (t, Gpu_tv.Domains.of_kernel t k0)) Lint.standard_targets
   in
-  String.split_on_char '\n' (Gpu_tv.Domains.table reports)
+  String.split_on_char '\n' (Gpu_tv.Domains.table (List.map snd reports))
   |> List.iter (fun l -> if l <> "" then Report.row buf "%s" l);
   let mismatches =
     List.concat_map
-      (fun (r : Gpu_tv.Domains.report) ->
-        match
-          List.find_opt
-            (fun (_, t) -> Gpu_tv.Simrel.target_name t = r.Gpu_tv.Domains.dr_label)
-            Lint.standard_targets
-        with
+      (fun (t, (r : Gpu_tv.Domains.report)) ->
+        match Gpu_tv.Domains.sor_flavor_of_target t with
         | None -> []
-        | Some (_, t) -> (
-            match Gpu_tv.Domains.sor_flavor_of_target t with
-            | None -> []
-            | Some f ->
-                List.map
-                  (fun s ->
-                    Printf.sprintf "%s disagrees with Sor.protects on %s"
-                      r.Gpu_tv.Domains.dr_label
-                      (Rmt_core.Sor.structure_name s))
-                  (Gpu_tv.Domains.crosscheck_sor r f)))
+        | Some f ->
+            List.map
+              (fun s ->
+                Printf.sprintf "%s disagrees with Sor.protects on %s"
+                  r.Gpu_tv.Domains.dr_label (Rmt_core.Sor.structure_name s))
+              (Gpu_tv.Domains.crosscheck_sor r f))
       reports
   in
   (match mismatches with
@@ -1233,7 +1217,7 @@ let coststatic ctx =
           let s = get ctx b v in
           let p =
             Gpu_tv.Costmodel.predict ~cfg:ctx.cfg ~local_items:local
-              (Gpu_tv.Simrel.V v) k0
+              (T.V v) k0
           in
           let problems =
             Gpu_tv.Costmodel.reconcile p ~base:(measured_of base)

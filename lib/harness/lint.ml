@@ -93,6 +93,20 @@ type entry = {
 
 type report = { l_name : string; l_entries : entry list }
 
+(* An entry with no findings and no analysis attached yet. *)
+let bare_entry label kernel =
+  {
+    l_label = label;
+    l_kernel = kernel;
+    l_findings = [];
+    l_stats = None;
+    l_domains = None;
+    l_cost = None;
+    l_run = None;
+    l_skip = None;
+    l_skip_kind = None;
+  }
+
 let entry_clean e = Findings.clean e.l_findings
 let clean r = List.for_all entry_clean r.l_entries
 
@@ -123,15 +137,9 @@ let lint_target ?(local_items = Simrel.default_local_items)
     ?(cfg = Gpu_sim.Config.default) ~(k0 : Gpu_ir.Types.kernel)
     ((label, target) : string * Simrel.target) : entry =
   match Simrel.subject ~local_items target k0 with
-  | exception Simrel.Unsupported msg ->
+  | exception Rmt_core.Intra_group.Unsupported msg ->
       {
-        l_label = label;
-        l_kernel = None;
-        l_findings = [];
-        l_stats = None;
-        l_domains = None;
-        l_cost = None;
-        l_run = None;
+        (bare_entry label None) with
         l_skip = Some ("transform not applicable: " ^ msg);
         l_skip_kind = Some Sk_not_applicable;
       }
@@ -156,15 +164,11 @@ let lint_target ?(local_items = Simrel.default_local_items)
       in
       let cost = Costmodel.predict ~cfg ~local_items target k0 in
       {
-        l_label = label;
-        l_kernel = Some subj.Simrel.s_transformed;
+        (bare_entry label (Some subj.Simrel.s_transformed)) with
         l_findings = violation_findings subj res @ domain_findings;
         l_stats = Some res.Simrel.res_stats;
         l_domains = Some domains;
         l_cost = Some cost;
-        l_run = None;
-        l_skip = None;
-        l_skip_kind = None;
       }
 
 let sor_findings (vs : Sor_check.violation list) =
@@ -199,18 +203,7 @@ let verify_target ?local_items ?max_experiments ?step_limit
     ((label, target) : string * Simrel.target) : entry =
   let e =
     match target with
-    | Simrel.V Rmt_core.Transform.Original ->
-        {
-          l_label = label;
-          l_kernel = Some k0;
-          l_findings = [];
-          l_stats = None;
-          l_domains = None;
-          l_cost = None;
-          l_run = None;
-          l_skip = None;
-          l_skip_kind = None;
-        }
+    | Simrel.V Rmt_core.Transform.Original -> bare_entry label (Some k0)
     | _ ->
         lint_target ?local_items ?max_experiments ?step_limit ~cfg ~k0
           (label, target)
@@ -233,7 +226,7 @@ let verify_target ?local_items ?max_experiments ?step_limit
     in
     let static =
       sor_findings
-        (Sor_check.check (Simrel.sor_flavor_of_target target) kernel)
+        (Sor_check.check (Simrel.facts target).Simrel.tf_contract kernel)
     in
     {
       e with

@@ -22,7 +22,10 @@
       divergence spans the doubled wave population: a store confined to
       a lane range that still fits one wave issues once, a wave-filling
       store issues twice, so Intra-Group lands anywhere in
-      [1×, 2×] — the whole registry realises both endpoints;
+      [1×, 2×] — the whole registry realises both endpoints. TMR's
+      voter-only commits over tripled lanes, and Inter-Group without
+      its deposits, land in [1×, 3×]. {!Simrel.facts} declares the
+      bounds;
     - dynamic {e instruction-count floors} follow the same per-issue
       logic: every issuing original wave maps onto at least one issuing
       transformed wave, so lane-level flavors (Intra, TMR) guarantee
@@ -67,15 +70,12 @@ type prediction = {
           are at least floor × baseline *)
 }
 
-let replicas_of = function
-  | Simrel.V Transform.Original -> 1
-  | Simrel.V (Transform.Intra _) | Simrel.V (Transform.Inter _) -> 2
-  | Simrel.Tmr -> 3
-
-let comm_census (target : Simrel.target) ~(original : kernel)
+let comm_census (facts : Simrel.facts) ~(original : kernel)
     ~(transformed : kernel) : comm_counts =
-  let flavor = Simrel.sor_flavor_of_target target in
-  let publish = Rmt_core.Sor_check.channel_publish_sites flavor transformed in
+  let publish =
+    Rmt_core.Sor_check.channel_publish_sites facts.Simrel.tf_contract
+      transformed
+  in
   let sl = Gpu_ir.Slice.of_kernel transformed in
   let insts = sl.Gpu_ir.Slice.insts in
   let sl0 = Gpu_ir.Slice.of_kernel original in
@@ -95,48 +95,31 @@ let comm_census (target : Simrel.target) ~(original : kernel)
     the harness). *)
 let predict ?(cfg = Gpu_sim.Config.default) ?(local_items = 64)
     (target : Simrel.target) (k0 : kernel) : prediction =
-  let transformed, group_items =
-    match target with
-    | Simrel.V v ->
-        let nd0 = Gpu_sim.Geom.make_ndrange local_items local_items in
-        let nd = Transform.map_ndrange v nd0 in
-        (Transform.apply v ~local_items k0, Gpu_sim.Geom.group_items nd)
-    | Simrel.Tmr ->
-        (Rmt_core.Tmr.transform ~local_items k0, 3 * local_items)
-  in
+  let facts = Simrel.facts target in
+  let nd0 = Gpu_sim.Geom.make_ndrange local_items local_items in
+  let transformed, nd = Transform.apply_target target ~local_items k0 nd0 in
+  let group_items = Gpu_sim.Geom.group_items nd in
   let usage_base = Regpressure.analyze k0 in
   let usage_rmt = Regpressure.analyze transformed in
   let occ_base =
     Occupancy.compute cfg ~usage:usage_base ~group_items:local_items
   in
   let occ_rmt = Occupancy.compute cfg ~usage:usage_rmt ~group_items in
-  let replicas = replicas_of target in
-  let store_lo, store_hi =
-    match target with
-    | Simrel.V Transform.Original -> (1, 1)
-    | Simrel.V (Transform.Intra _) -> (1, 2)
-        (* consumer-only commits, but per-issue counting doubles
-           wave-filling stores across the doubled wave population *)
-    | Simrel.V (Transform.Inter { comm = true }) ->
-        (3, 3) (* commit + addr/value deposits, all group-uniform *)
-    | Simrel.V (Transform.Inter { comm = false }) -> (1, 3)
-    | Simrel.Tmr -> (1, 3) (* voter-only commits, tripled lanes *)
-  in
+  let replicas = facts.Simrel.tf_replicas in
+  let store_lo, store_hi = facts.Simrel.tf_stores in
   let inst_floor =
-    match target with
-    | Simrel.V Transform.Original -> 1
-    | Simrel.V (Transform.Intra _) | Simrel.Tmr -> 1 (* lane-level *)
-    | Simrel.V (Transform.Inter _) -> replicas (* every wave re-runs *)
+    (* group-level replication re-runs every wave; lane-level does not *)
+    if facts.Simrel.tf_pairing = Simrel.P_group_parity then replicas else 1
   in
   {
-    c_label = Simrel.target_name target;
+    c_label = Transform.target_name target;
     c_group_items = group_items;
     c_replicas = replicas;
     c_usage_base = usage_base;
     c_usage_rmt = usage_rmt;
     c_occ_base = occ_base;
     c_occ_rmt = occ_rmt;
-    c_comm = comm_census target ~original:k0 ~transformed;
+    c_comm = comm_census facts ~original:k0 ~transformed;
     c_store_lo = store_lo;
     c_store_hi = store_hi;
     c_inst_floor = inst_floor;

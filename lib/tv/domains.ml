@@ -78,32 +78,19 @@ let lds_replicated ~(original : Gpu_ir.Types.kernel)
          | None -> false)
        original.Gpu_ir.Types.lds_allocs
 
-let channel_names =
-  [
-    Rmt_core.Intra_group.comm_lds_name;
-    Rmt_core.Tmr.comm_lds_name;
-    Rmt_core.Inter_group.wgid_lds_name;
-  ]
-
-(* The flavor's stated LDS policy, the fallback when the kernel has no
-   LDS of its own to read the policy off. *)
-let policy_replicates_lds = function
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds; _ }) -> include_lds
-  | Simrel.Tmr -> true
-  | Simrel.V Rmt_core.Transform.Original -> false
-  | Simrel.V (Rmt_core.Transform.Inter _) -> true
-
 let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
     ~(transformed : Gpu_ir.Types.kernel) : report =
-  let pairing = Simrel.pairing_of_target target in
-  let loc = locality_of pairing in
+  let facts = Simrel.facts target in
+  let loc = locality_of facts.Simrel.tf_pairing in
   let lds_rep =
     match loc with
     | Lx_none -> false
     | Lx_group -> true (* per-group LDS: replicas in distinct groups *)
     | Lx_lane ->
+        (* the stated policy is the fallback when the kernel has no
+           LDS of its own to read the policy off *)
         if original.Gpu_ir.Types.lds_allocs = [] then
-          policy_replicates_lds target
+          facts.Simrel.tf_replicates_lds
         else lds_replicated ~original ~transformed
   in
   let protected_ (s : Sor.structure) =
@@ -132,12 +119,13 @@ let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
   in
   let channel_lds =
     List.fold_left
-      (fun a (name, b) -> if List.mem name channel_names then a + b else a)
+      (fun a (name, b) ->
+        if List.mem name Simrel.channel_lds_names then a + b else a)
       0 transformed.Gpu_ir.Types.lds_allocs
   in
   {
-    dr_label = Simrel.target_name target;
-    dr_pairing = pairing;
+    dr_label = Rmt_core.Transform.target_name target;
+    dr_pairing = facts.Simrel.tf_pairing;
     dr_domains =
       List.map
         (fun s ->
@@ -156,11 +144,8 @@ let derive ~(target : Simrel.target) ~(original : Gpu_ir.Types.kernel)
     static matrix). *)
 let of_kernel ?(local_items = Simrel.default_local_items)
     (target : Simrel.target) (k0 : Gpu_ir.Types.kernel) : report =
-  let transformed =
-    match target with
-    | Simrel.V v -> Rmt_core.Transform.apply v ~local_items k0
-    | Simrel.Tmr -> Rmt_core.Tmr.transform ~local_items k0
-  in
+  let nd = Gpu_sim.Geom.make_ndrange local_items local_items in
+  let transformed, _ = Rmt_core.Transform.apply_target target ~local_items k0 nd in
   derive ~target ~original:k0 ~transformed
 
 let protects r s =
@@ -174,13 +159,7 @@ let protects r s =
 
 (** The {!Rmt_core.Sor} flavor whose declared matrix this report must
     reproduce, when the paper states one. *)
-let sor_flavor_of_target = function
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds = true; _ }) ->
-      Some Sor.Intra_plus_lds
-  | Simrel.V (Rmt_core.Transform.Intra { include_lds = false; _ }) ->
-      Some Sor.Intra_minus_lds
-  | Simrel.V (Rmt_core.Transform.Inter _) -> Some Sor.Inter_group
-  | Simrel.V Rmt_core.Transform.Original | Simrel.Tmr -> None
+let sor_flavor_of_target t = (Simrel.facts t).Simrel.tf_sor_row
 
 (** Structures on which the derived matrix disagrees with the declared
     {!Sor.protects} table ([[]] = the derivation reproduces the paper's

@@ -35,30 +35,61 @@ open Gpu_ir.Types
 module Geom = Gpu_sim.Geom
 module Transform = Rmt_core.Transform
 module Slice = Gpu_ir.Slice
+module Sor = Rmt_core.Sor
+module Sor_check = Rmt_core.Sor_check
 
-(** A validated kernel version: the harness transforms plus TMR. *)
-type target = V of Transform.variant | Tmr
-
-let target_name = function
-  | V v -> Transform.name v
-  | Tmr -> "tmr"
+(** A validated kernel version (re-exported from {!Rmt_core.Transform}). *)
+type target = Transform.target = V of Transform.variant | Tmr
 
 type pairing = P_none | P_lane_parity | P_group_parity | P_lane_mod3
 
-let pairing_of_target = function
-  | V Transform.Original -> P_none
-  | V (Transform.Intra _) -> P_lane_parity
-  | V (Transform.Inter _) -> P_group_parity
-  | Tmr -> P_lane_mod3
+(** What a target declares about itself: the facts the validator, the
+    protection-domain report and the cost model read instead of each
+    matching on the target. The transformed kernel is not consulted —
+    {!Domains.lds_replicated} and {!Rmt_core.Sor_check}'s channel taints
+    derive their half of the cross-checks from it independently. *)
+type facts = {
+  tf_pairing : pairing;  (** which lanes or groups are replicas *)
+  tf_replicas : int;  (** 1, 2 or 3 *)
+  tf_contract : Sor_check.flavor;  (** static contract enforced *)
+  tf_sor_row : Sor.flavor option;
+      (** the paper's declared Table 2/3 row, when it states one *)
+  tf_replicates_lds : bool;
+      (** stated LDS policy: replicas own private copies of kernel LDS *)
+  tf_compare_local : bool;  (** −LDS: local stores also exit the SoR *)
+  tf_stores : int * int;
+      (** measured global store issues lie in [lo×, hi×] the baseline's
+          ({!Costmodel}: why per-issue counting gives these bounds) *)
+}
 
-let sor_flavor_of_target = function
-  | V Transform.Original -> Rmt_core.Sor_check.F_original
-  | V (Transform.Intra { include_lds = true; _ }) ->
-      Rmt_core.Sor_check.F_intra_plus
-  | V (Transform.Intra { include_lds = false; _ }) ->
-      Rmt_core.Sor_check.F_intra_minus
-  | V (Transform.Inter _) -> Rmt_core.Sor_check.F_inter
-  | Tmr -> Rmt_core.Sor_check.F_tmr
+let facts = function
+  | V Transform.Original ->
+      { tf_pairing = P_none; tf_replicas = 1; tf_contract = Sor_check.F_original;
+        tf_sor_row = None; tf_replicates_lds = false; tf_compare_local = false;
+        tf_stores = (1, 1) }
+  | V (Transform.Intra { include_lds = plus; _ }) ->
+      { tf_pairing = P_lane_parity; tf_replicas = 2;
+        tf_contract = (if plus then Sor_check.F_intra_plus else Sor_check.F_intra_minus);
+        tf_sor_row = Some (if plus then Sor.Intra_plus_lds else Sor.Intra_minus_lds);
+        tf_replicates_lds = plus; tf_compare_local = not plus; tf_stores = (1, 2) }
+  | V (Transform.Inter { comm }) ->
+      { tf_pairing = P_group_parity; tf_replicas = 2; tf_contract = Sor_check.F_inter;
+        tf_sor_row = Some Sor.Inter_group; tf_replicates_lds = true;
+        tf_compare_local = false; tf_stores = (if comm then (3, 3) else (1, 3)) }
+  | Tmr ->
+      { tf_pairing = P_lane_mod3; tf_replicas = 3; tf_contract = Sor_check.F_tmr;
+        tf_sor_row = None; tf_replicates_lds = true; tf_compare_local = false;
+        tf_stores = (1, 3) }
+
+(** The LDS allocations the passes add for their own checking traffic.
+    Every pass rejects a kernel that already holds its name, so a name
+    here never belongs to kernel data, whichever target made it. *)
+let channel_lds_names =
+  [
+    Rmt_core.Intra_group.comm_lds_name;
+    Rmt_core.Tmr.comm_lds_name;
+    Rmt_core.Inter_group.wgid_lds_name;
+  ]
 
 type subject = {
   s_label : string;
@@ -72,15 +103,13 @@ type subject = {
   s_compare_local : bool;  (** −LDS: local stores also exit the SoR *)
   s_publish : bool array;
       (** per transformed site: a protocol publish into the channel
-          (from {!Rmt_core.Sor_check.channel_publish_sites}); corruption
+          (from {!Sor_check.channel_publish_sites}); corruption
           it commits is protocol residue, not a contract violation *)
   s_chan_addr : bool array;
       (** per transformed register: holds a channel address — the
           unreplicated slot/flag addressing of the inserted checking
           code, cut out of the injection slice *)
 }
-
-exception Unsupported of string
 
 (* Synthetic launch: buffer parameters get well-separated base
    addresses (memory is unbounded and pseudo-randomly initialized, so
@@ -106,16 +135,9 @@ let default_logical_groups = 2
 let subject ?(local_items = default_local_items)
     ?(logical_groups = default_logical_groups) ?(mutate = fun k -> k)
     (target : target) (k0 : kernel) : subject =
+  let facts = facts target in
   let nd0 = Geom.make_ndrange (logical_groups * local_items) local_items in
-  let transformed, nd_rmt =
-    try
-      match target with
-      | V v -> (Transform.apply v ~local_items k0, Transform.map_ndrange v nd0)
-      | Tmr -> (Rmt_core.Tmr.transform ~local_items k0, Rmt_core.Tmr.map_ndrange nd0)
-    with
-    | Rmt_core.Intra_group.Unsupported m | Rmt_core.Tmr.Unsupported m ->
-        raise (Unsupported m)
-  in
+  let transformed, nd_rmt = Transform.apply_target target ~local_items k0 nd0 in
   (* [mutate] seeds a defect into the transformed kernel (the
      miscompile fixtures); the identity for genuine validation. *)
   let transformed = mutate transformed in
@@ -139,29 +161,17 @@ let subject ?(local_items = default_local_items)
   let exempt_local =
     List.filter_map
       (fun (name, off, bytes) ->
-        if
-          name = Rmt_core.Intra_group.comm_lds_name
-          || name = Rmt_core.Tmr.comm_lds_name
-          || name = Rmt_core.Inter_group.wgid_lds_name
-        then Some (off, off + bytes)
+        if List.mem name channel_lds_names then Some (off, off + bytes)
         else None)
       (Machine.lds_offsets transformed)
   in
-  let compare_local =
-    match target with
-    | V (Transform.Intra { include_lds = false; _ }) -> true
-    | _ -> false
-  in
-  let flavor = sor_flavor_of_target target in
-  let publish = Rmt_core.Sor_check.channel_publish_sites flavor transformed in
-  let chan_addr =
-    Rmt_core.Sor_check.channel_address_regs flavor transformed
-  in
+  let publish = Sor_check.channel_publish_sites facts.tf_contract transformed in
+  let chan_addr = Sor_check.channel_address_regs facts.tf_contract transformed in
   {
-    s_label = target_name target;
+    s_label = Transform.target_name target;
     s_original = k0;
     s_transformed = transformed;
-    s_pairing = pairing_of_target target;
+    s_pairing = facts.tf_pairing;
     s_publish = publish;
     s_chan_addr = chan_addr;
     s_plan_orig =
@@ -175,7 +185,7 @@ let subject ?(local_items = default_local_items)
       };
     s_exempt_global = exempt_global;
     s_exempt_local = exempt_local;
-    s_compare_local = compare_local;
+    s_compare_local = facts.tf_compare_local;
   }
 
 (* ------------------------------------------------------------------ *)

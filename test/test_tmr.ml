@@ -66,7 +66,7 @@ let test_tmr_shape () =
 let test_tmr_rejects_large_groups () =
   check Alcotest.bool "rejects 3*64 > 64" true
     (match Rmt_core.Tmr.transform ~local_items:64 (sample ()) with
-    | exception Rmt_core.Tmr.Unsupported _ -> true
+    | exception Rmt_core.Intra_group.Unsupported _ -> true
     | _ -> false)
 
 (* The TMR headline: a single injected bit flip is corrected, not just

@@ -15,14 +15,7 @@ module P = Gpu_prof.Provenance
 let tc = Alcotest.test_case
 let check = Alcotest.check
 
-let all_targets =
-  [
-    ("intra+lds", Simrel.V T.intra_plus_lds);
-    ("intra-lds", Simrel.V T.intra_minus_lds);
-    ("intra+fast", Simrel.V T.intra_plus_lds_fast);
-    ("inter", Simrel.V T.inter_group);
-    ("tmr", Simrel.Tmr);
-  ]
+let all_targets = Harness.Lint.standard_targets
 
 (* ------------------------------------------------------------------ *)
 (* Positive fixtures: the whole registry, every flavor                 *)
@@ -35,7 +28,7 @@ let test_registry_accepted () =
       List.iter
         (fun (label, target) ->
           match Simrel.subject target k0 with
-          | exception Simrel.Unsupported _ -> ()
+          | exception Rmt_core.Intra_group.Unsupported _ -> ()
           | subj ->
               let r = Simrel.validate ~max_experiments:150 subj in
               if not (Simrel.ok r) then
@@ -69,8 +62,15 @@ let ablations =
     ("inter/no-comm", Simrel.V (T.Inter { comm = false }));
   ]
 
+(* The static contract checked on a subject's transformed kernel. *)
+let sor_rejects target (subj : Simrel.subject) =
+  Rmt_core.Sor_check.check (Simrel.facts target).Simrel.tf_contract
+    subj.Simrel.s_transformed
+  <> []
+
 (* An accepted negative is a validator escape: a transform whose checks
-   were removed must show undetected faults. *)
+   were removed must show undetected faults, and its stores break the
+   static contract as well. *)
 let test_ablations_rejected () =
   List.iter
     (fun id ->
@@ -81,9 +81,19 @@ let test_ablations_rejected () =
           let r = Simrel.validate ~max_experiments:150 subj in
           if Simrel.ok r then
             Alcotest.fail
-              (Printf.sprintf "%s/%s: no-comm ablation accepted" id label))
+              (Printf.sprintf "%s/%s: no-comm ablation accepted" id label);
+          if not (sor_rejects target subj) then
+            Alcotest.fail
+              (Printf.sprintf "%s/%s: no-comm ablation meets the SoR contract"
+                 id label))
         ablations)
     negative_benches
+
+(* The miscompiles the static contract must reject too: a store with
+   no compare, or one committed outside the consumer branch. A swapped
+   operand or a stale shadow keeps the contract's shape, and only the
+   simulation relation catches them. *)
+let sor_visible = [ Miscompile.Drop_compare; Miscompile.One_twin_store ]
 
 let test_miscompiles_rejected () =
   List.iter
@@ -91,12 +101,16 @@ let test_miscompiles_rejected () =
       let k0 = (Kernels.Registry.find id).make_kernel () in
       List.iter
         (fun mode ->
+          let target = Simrel.V T.intra_plus_lds in
           let subj =
-            Simrel.subject ~mutate:(Miscompile.apply mode)
-              (Simrel.V T.intra_plus_lds) k0
+            Simrel.subject ~mutate:(Miscompile.apply mode) target k0
           in
           (* the surgery keeps the kernel structurally well-formed *)
           Gpu_ir.Verify.check subj.Simrel.s_transformed;
+          if List.mem mode sor_visible && not (sor_rejects target subj) then
+            Alcotest.fail
+              (Printf.sprintf "%s/%s: miscompile meets the SoR contract" id
+                 (Miscompile.mode_name mode));
           let r = Simrel.validate ~max_experiments:150 subj in
           (match r.Simrel.res_violations with
           | [] ->
@@ -115,6 +129,38 @@ let test_miscompiles_rejected () =
         Miscompile.all_modes)
     negative_benches
 
+(* A pass's rejection reaches every validator front end as the one
+   [Intra_group.Unsupported] exception, and lint records it as a
+   not-applicable skip rather than a failure. *)
+let test_unsupported_one_exception () =
+  let b = Gpu_ir.Builder.create "global_atomic" in
+  let out = Gpu_ir.Builder.buffer_param b "out" in
+  ignore (Gpu_ir.Builder.atomic_add b Gpu_ir.Types.Global out (Gpu_ir.Builder.imm 1));
+  let k0 = Gpu_ir.Builder.finish b in
+  let raises what f =
+    match f () with
+    | exception Rmt_core.Intra_group.Unsupported _ -> ()
+    | _ -> Alcotest.fail (what ^ " accepted a kernel with a global atomic")
+  in
+  List.iter
+    (fun (label, target) ->
+      raises (label ^ " subject") (fun () -> ignore (Simrel.subject target k0));
+      raises (label ^ " domains") (fun () ->
+          ignore (Domains.of_kernel target k0));
+      raises (label ^ " cost model") (fun () ->
+          ignore (Costmodel.predict ~local_items:16 target k0)))
+    all_targets;
+  let report =
+    Harness.Lint.lint_kernel ~targets:all_targets ~name:"global_atomic" k0
+  in
+  List.iter
+    (fun (e : Harness.Lint.entry) ->
+      if e.Harness.Lint.l_skip_kind <> Some Harness.Lint.Sk_not_applicable
+      then Alcotest.fail (e.Harness.Lint.l_label ^ ": not marked not_applicable"))
+    report.Harness.Lint.l_entries;
+  check Alcotest.int "one entry per target" (List.length all_targets)
+    (List.length report.Harness.Lint.l_entries)
+
 (* ------------------------------------------------------------------ *)
 (* Protection domains                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -129,7 +175,7 @@ let test_domains_match_sor () =
       List.iter
         (fun (label, target) ->
           match Domains.of_kernel target k0 with
-          | exception Simrel.Unsupported _ -> ()
+          | exception Rmt_core.Intra_group.Unsupported _ -> ()
           | r -> (
               match Domains.sor_flavor_of_target target with
               | None -> ()
@@ -260,7 +306,7 @@ let test_regpressure_never_underestimates () =
         :: List.filter_map
              (fun (label, target) ->
                match Simrel.subject target k0 with
-               | exception Simrel.Unsupported _ -> None
+               | exception Rmt_core.Intra_group.Unsupported _ -> None
                | subj -> Some (b.id ^ "/" ^ label, subj.Simrel.s_transformed))
              all_targets
       in
@@ -392,6 +438,8 @@ let suite =
     tc "no-comm ablations rejected" `Slow test_ablations_rejected;
     tc "seeded miscompiles rejected with site" `Slow
       test_miscompiles_rejected;
+    tc "unsupported: one exception, skipped" `Quick
+      test_unsupported_one_exception;
     tc "domains match declared SoR matrix" `Quick test_domains_match_sor;
     tc "campaign provenance crosscheck" `Quick test_campaign_crosscheck;
     tc "cost model reconciles vs simulator" `Slow test_costmodel_reconciles;
