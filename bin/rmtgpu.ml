@@ -3,11 +3,12 @@
    Subcommands:
      list                        list benchmarks
      dump    <bench> [variant]   print the (transformed) kernel IR
-     run     <bench> [variant]   simulate and report cycles/counters
-     trace   <bench> [variant]   simulate with the trace sink attached and
-                                 write a Chrome-trace JSON + ASCII timeline
-     profile <bench> [variant]   per-instruction profile: annotated IR
-                                 listing, hot spots, optional JSON
+     run     <bench> [variant]   simulate and report cycles/counters; any
+                                 combination of observers on the same run:
+                                 --trace FILE (Chrome-trace JSON + ASCII
+                                 timeline), --profile [--json FILE]
+                                 (annotated IR listing, hot spots),
+                                 --sanitize (exit 1 on findings)
      inject  <bench> <variant> <target> [n]  fault-injection campaign
                                  (with propagation provenance)
      perfdiff <old> <new>        diff two BENCH_<rev>.json trajectories;
@@ -72,6 +73,11 @@ let bench_conv =
   let print fmt (b : Kernels.Bench.t) = Format.pp_print_string fmt b.id in
   Cmdliner.Arg.conv (parse, print)
 
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc json;
+      output_char oc '\n')
+
 (* ---------------- list ---------------- *)
 
 let do_list () =
@@ -98,9 +104,21 @@ let do_dump (b : Kernels.Bench.t) variant ~alloc ~optimize =
 
 (* ---------------- run ---------------- *)
 
-let do_run (b : Kernels.Bench.t) variant scale =
-  let s = Harness.Run.run ~scale b variant in
+(* One simulation with any combination of observers attached: the run's
+   summary, then one section per observer, each the same as with that
+   observer alone. *)
+let do_run (b : Kernels.Bench.t) variant scale optimize trace_out width
+    profile json_out sanitize =
   let cfg = Gpu_sim.Config.default in
+  let trace =
+    Option.map (fun out -> (out, Gpu_trace.Sink.collector ())) trace_out
+  in
+  let san = if sanitize then Some (Gpu_san.Shadow.create ()) else None in
+  let s, kernel, prof =
+    Harness.Run.observe ~scale ~optimize
+      ?trace:(Option.map (fun (_, tc) -> Gpu_trace.Sink.of_collector tc) trace)
+      ~profile:(profile || json_out <> None) ?san b variant
+  in
   Printf.printf "%s under %s: %d cycles over %d launches (%s, verified=%b)\n"
     b.id (T.name variant) s.cycles s.steps
     (Harness.Run.outcome_name s.outcome)
@@ -123,68 +141,40 @@ let do_run (b : Kernels.Bench.t) variant scale =
   let rep =
     Gpu_power.Power_model.report ~cfg ~windows:s.windows ~fallback:s.counters ()
   in
-  Printf.printf "power: avg %.1f W, peak %.1f W\n" rep.average_w rep.peak_w
-
-(* ---------------- trace ---------------- *)
-
-let sanitize_id s =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
-      | _ -> '-')
-    s
-
-let do_trace (b : Kernels.Bench.t) variant scale out width =
-  let collector = Gpu_trace.Sink.collector () in
-  let sink = Gpu_trace.Sink.of_collector collector in
-  let s = Harness.Run.run ~scale ~trace:sink b variant in
-  let records = Gpu_trace.Sink.records collector in
-  let cfg = Gpu_sim.Config.default in
-  let out =
-    match out with
-    | Some p -> p
-    | None ->
-        Printf.sprintf "trace_%s_%s.json" (sanitize_id b.id)
-          (sanitize_id (T.name variant))
-  in
-  let label = Printf.sprintf "%s under %s" b.id (T.name variant) in
-  let json = Gpu_trace.Chrome.to_string ~label records in
-  Out_channel.with_open_text out (fun oc ->
-      output_string oc json;
-      output_char oc '\n');
-  Printf.printf "%s under %s: %d cycles over %d launches (%s, verified=%b)\n"
-    b.id (T.name variant) s.cycles s.steps
-    (Harness.Run.outcome_name s.outcome)
-    s.verified;
-  Printf.printf "%d scheduler events -> %s (load in chrome://tracing or \
-                 ui.perfetto.dev)\n\n" (Gpu_trace.Sink.count collector) out;
-  print_string
-    (Gpu_trace.Timeline.render ~n_cus:cfg.n_cus ~simds_per_cu:cfg.simds_per_cu
-       ~cycles:s.cycles ~width records);
-  let c = s.counters in
-  Printf.printf "\nstalls: write_stalled=%d cycles, spin_iterations=%d polls\n"
-    c.Gpu_sim.Counters.write_stalled c.Gpu_sim.Counters.spin_iterations
-
-(* ---------------- profile ---------------- *)
-
-let do_profile (b : Kernels.Bench.t) variant scale optimize json_out top =
-  let s, kernel, prof = Harness.Run.run_profiled ~scale ~optimize b variant in
-  Printf.printf "%s under %s: %d cycles over %d launches (%s, verified=%b)\n\n"
-    b.id (T.name variant) s.cycles s.steps
-    (Harness.Run.outcome_name s.outcome)
-    s.verified;
-  print_string (Gpu_prof.Report.annotated_listing kernel prof);
-  print_newline ();
-  print_string (Gpu_prof.Report.hotspots ~n:top kernel prof);
-  match json_out with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
+  Printf.printf "power: avg %.1f W, peak %.1f W\n" rep.average_w rep.peak_w;
+  Option.iter
+    (fun (out, tc) ->
+      let records = Gpu_trace.Sink.records tc in
+      let label = Printf.sprintf "%s under %s" b.id (T.name variant) in
+      write_json out (Gpu_trace.Chrome.to_string ~label records);
+      Printf.printf "\n%d scheduler events -> %s (load in chrome://tracing or \
+                     ui.perfetto.dev)\n\n" (Gpu_trace.Sink.count tc) out;
+      print_string
+        (Gpu_trace.Timeline.render ~n_cus:cfg.n_cus
+           ~simds_per_cu:cfg.simds_per_cu ~cycles:s.cycles ~width records);
+      Printf.printf
+        "\nstalls: write_stalled=%d cycles, spin_iterations=%d polls\n"
+        c.write_stalled c.spin_iterations)
+    trace;
+  Option.iter
+    (fun prof ->
+      print_newline ();
+      print_string (Gpu_prof.Report.annotated_listing kernel prof);
+      print_newline ();
+      print_string (Gpu_prof.Report.hotspots ~n:8 kernel prof);
+      Option.iter
+        (fun path ->
+          write_json path
             (Gpu_trace.Json.to_string (Gpu_prof.Report.to_json kernel prof));
-          output_char oc '\n');
-      Printf.printf "\nprofile JSON -> %s\n" path
-  | None -> ()
+          Printf.printf "\nprofile JSON -> %s\n" path)
+        json_out)
+    prof;
+  Option.iter
+    (fun san ->
+      print_newline ();
+      print_string (Gpu_san.Report.to_string ~kernel san);
+      if not (Gpu_san.Shadow.clean san) then exit 1)
+    san
 
 (* ---------------- perfdiff ---------------- *)
 
@@ -259,10 +249,7 @@ let do_lint subject target local max_exp full json_out =
   print_string (Harness.Lint.to_string report);
   (match json_out with
   | Some path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc
-            (Gpu_trace.Json.to_string (Harness.Lint.to_json report));
-          output_char oc '\n');
+      write_json path (Gpu_trace.Json.to_string (Harness.Lint.to_json report));
       Printf.printf "lint JSON -> %s\n" path
   | None -> ());
   if not (Harness.Lint.clean report) then exit 1
@@ -346,16 +333,19 @@ let parse_runfile_arg sp =
   | [ "f32"; x ] -> Ok (RA_f32 (float_of_string x))
   | "buf" :: words :: rest -> (
       let words = int_of_string words in
-      match rest with
-      | [] | [ "zero" ] -> Ok (RA_buf (words, `Zero))
-      | [ "index" ] -> Ok (RA_buf (words, `Index))
-      | [ "findex" ] -> Ok (RA_buf (words, `Findex))
-      | [ init ] -> (
-          match String.split_on_char '=' init with
-          | [ "i32"; v ] -> Ok (RA_buf (words, `I32 (int_of_string v)))
-          | [ "f32"; x ] -> Ok (RA_buf (words, `F32 (float_of_string x)))
-          | _ -> Error (`Msg ("bad buffer initializer " ^ init)))
-      | _ -> Error (`Msg ("bad --arg " ^ sp)))
+      if words < 1 then
+        Error (`Msg ("bad --arg " ^ sp ^ " (WORDS must be positive)"))
+      else
+        match rest with
+        | [] | [ "zero" ] -> Ok (RA_buf (words, `Zero))
+        | [ "index" ] -> Ok (RA_buf (words, `Index))
+        | [ "findex" ] -> Ok (RA_buf (words, `Findex))
+        | [ init ] -> (
+            match String.split_on_char '=' init with
+            | [ "i32"; v ] -> Ok (RA_buf (words, `I32 (int_of_string v)))
+            | [ "f32"; x ] -> Ok (RA_buf (words, `F32 (float_of_string x)))
+            | _ -> Error (`Msg ("bad buffer initializer " ^ init)))
+        | _ -> Error (`Msg ("bad --arg " ^ sp)))
   | _ -> Error (`Msg ("bad --arg " ^ sp))
 
 let runfile_arg_conv =
@@ -364,10 +354,17 @@ let runfile_arg_conv =
       fun fmt _ -> Format.pp_print_string fmt "<arg>" )
 
 let parse_show sp =
+  let slice i lo hi as_f32 =
+    let i = int_of_string i
+    and lo = int_of_string lo
+    and hi = int_of_string hi in
+    if i < 0 || lo < 0 || hi < lo then
+      Error (`Msg ("bad --show " ^ sp ^ " (want IDX >= 0 and 0 <= LO <= HI)"))
+    else Ok (i, lo, hi, as_f32)
+  in
   match String.split_on_char ':' sp with
-  | [ i; lo; hi ] -> Ok (int_of_string i, int_of_string lo, int_of_string hi, false)
-  | [ i; lo; hi; "f32" ] ->
-      Ok (int_of_string i, int_of_string lo, int_of_string hi, true)
+  | [ i; lo; hi ] -> slice i lo hi false
+  | [ i; lo; hi; "f32" ] -> slice i lo hi true
   | _ -> Error (`Msg ("bad --show " ^ sp))
 
 let show_conv =
@@ -377,6 +374,21 @@ let show_conv =
 
 let do_runfile path variant global local arg_specs shows =
   let k0 = load_rgk path in
+  let nparams = Gpu_ir.Types.param_count k0 in
+  if List.length arg_specs <> nparams then begin
+    Printf.eprintf "%s: kernel %s takes %d --arg(s), got %d\n" path
+      k0.Gpu_ir.Types.kname nparams (List.length arg_specs);
+    exit 2
+  end;
+  List.iter
+    (fun (idx, _, _, _) ->
+      match List.nth_opt arg_specs idx with
+      | Some (RA_buf _) -> ()
+      | _ ->
+          Printf.eprintf "%s: --show %d: parameter %d is not a buffer\n" path
+            idx idx;
+          exit 2)
+    shows;
   let k =
     try T.apply variant ~local_items:local k0
     with Rmt_core.Intra_group.Unsupported msg ->
@@ -408,22 +420,25 @@ let do_runfile path variant global local arg_specs shows =
       arg_specs
   in
   let args = args @ T.extra_args variant dev ~nd:nd0 in
-  let r = Gpu_sim.Device.launch dev k ~nd ~args in
+  let r =
+    try Gpu_sim.Device.launch dev k ~nd ~args
+    with Invalid_argument msg ->
+      Printf.eprintf "%s: cannot launch: %s\n" path msg;
+      exit 2
+  in
   Printf.printf "%s under %s: %d cycles (%s)\n" k0.Gpu_ir.Types.kname
     (T.name variant) r.Gpu_sim.Device.cycles
     (Harness.Run.outcome_name r.Gpu_sim.Device.outcome);
   List.iter
     (fun (idx, lo, hi, as_f32) ->
-      match Hashtbl.find_opt buffers idx with
-      | None -> Printf.eprintf "no buffer at parameter %d\n" idx
-      | Some (b, words) ->
-          let hi = min hi words in
-          Printf.printf "param %d [%d..%d):" idx lo hi;
-          for i = lo to hi - 1 do
-            if as_f32 then Printf.printf " %g" (Gpu_sim.Device.read_f32 dev b i)
-            else Printf.printf " %d" (Gpu_sim.Device.read_i32 dev b i)
-          done;
-          print_newline ())
+      let b, words = Hashtbl.find buffers idx in
+      let hi = min hi words in
+      Printf.printf "param %d [%d..%d):" idx lo hi;
+      for i = lo to hi - 1 do
+        if as_f32 then Printf.printf " %g" (Gpu_sim.Device.read_f32 dev b i)
+        else Printf.printf " %d" (Gpu_sim.Device.read_i32 dev b i)
+      done;
+      print_newline ())
     shows
 
 (* ---------------- exp ---------------- *)
@@ -472,26 +487,20 @@ let do_exp names quick jobs =
 
 open Cmdliner
 
-(* -v enables the simulator's scheduler-event log (gpu.device source) *)
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
-
-let verbose_flag =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Trace scheduler events")
-
-let jobs_conv =
+(* Every count on the command line (sizes, scales, widths, workers) is at
+   least 1. *)
+let count_conv =
   let parse s =
     match int_of_string_opt s with
     | Some n when n >= 1 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "-j expects a positive integer, got %s" s))
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
 let jobs_opt =
   Arg.(
     value
-    & opt (some jobs_conv) None
+    & opt (some count_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for independent simulations (default: \
@@ -520,46 +529,62 @@ let dump_cmd =
 
 let run_cmd =
   let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
+    Arg.(
+      value & opt count_conv 1
+      & info [ "scale" ] ~docv:"N" ~doc:"Problem-size multiplier")
   in
-  let run verbose b v s =
-    setup_logs verbose;
-    do_run b v s
+  let optimize =
+    Arg.(value & flag & info [ "O" ] ~doc:"Run the optimizer pipeline first")
   in
-  Cmd.v (Cmd.info "run" ~doc:"Simulate a benchmark under an RMT variant")
-    Term.(const run $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale)
-
-let trace_cmd =
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
-  in
-  let out =
+  let trace =
     Arg.(
       value
       & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE"
+      & info [ "trace" ] ~docv:"FILE"
           ~doc:
-            "Chrome-trace JSON output path (default: \
-             $(b,trace_<bench>_<variant>.json))")
+            "Attach the scheduler-event sink: write a Chrome-trace (Perfetto) \
+             JSON to $(docv) and print an ASCII per-CU timeline and the \
+             stall counters")
   in
   let width =
     Arg.(
-      value & opt int 64
+      value & opt count_conv 64
       & info [ "width" ] ~docv:"COLS"
-          ~doc:"Columns of the ASCII per-CU utilization timeline")
+          ~doc:"Columns of the $(b,--trace) per-CU utilization timeline")
   in
-  let trace verbose b v s o w =
-    setup_logs verbose;
-    do_trace b v s o w
+  let profile =
+    Arg.(
+      value & flag
+      & info [ "profile" ]
+          ~doc:
+            "Attach the per-instruction profiler: print the annotated IR \
+             listing with per-line cycle share, stall breakdown and cache \
+             behaviour, and a hot-spot table")
+  in
+  let json_out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE"
+          ~doc:"Also write the profile as JSON (implies $(b,--profile))")
+  in
+  let sanitize =
+    Arg.(
+      value & flag
+      & info [ "sanitize" ]
+          ~doc:
+            "Attach the dynamic sanitizer (races, uninitialized reads, \
+             out-of-bounds) and print its report; exit 1 on findings")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (Cmd.info "run"
        ~doc:
-         "Simulate with the scheduler trace sink attached; write a \
-          Chrome-trace (Perfetto) JSON and print an ASCII per-CU timeline")
+         "Simulate a benchmark under an RMT variant and report cycles, \
+          counters and power; $(b,--trace), $(b,--profile) and \
+          $(b,--sanitize) observe the same run, in any combination")
     Term.(
-      const trace $ verbose_flag $ bench_arg $ variant_arg ~pos:1 $ scale $ out
-      $ width)
+      const do_run $ bench_arg $ variant_arg ~pos:1 $ scale $ optimize $ trace
+      $ width $ profile $ json_out $ sanitize)
 
 let inject_cmd =
   let variant =
@@ -568,7 +593,9 @@ let inject_cmd =
   let target =
     Arg.(required & pos 2 (some target_conv) None & info [] ~docv:"TARGET")
   in
-  let n = Arg.(value & opt int 24 & info [ "n" ] ~doc:"Number of injections") in
+  let n =
+    Arg.(value & opt count_conv 24 & info [ "n" ] ~doc:"Number of injections")
+  in
   let show_prov =
     Arg.(
       value & flag
@@ -591,34 +618,6 @@ let inject_cmd =
       const do_inject $ bench_arg $ variant $ target $ n $ jobs_opt $ show_prov
       $ sanitize)
 
-let profile_cmd =
-  let scale =
-    Arg.(value & opt int 1 & info [ "scale" ] ~doc:"Problem-size multiplier")
-  in
-  let optimize =
-    Arg.(value & flag & info [ "O" ] ~doc:"Run the optimizer pipeline first")
-  in
-  let json_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the profile as JSON")
-  in
-  let top =
-    Arg.(
-      value & opt int 8
-      & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-spot table")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Per-instruction profile of a benchmark: annotated IR listing with \
-          per-line cycle share, stall breakdown and cache behaviour, plus a \
-          hot-spot table")
-    Term.(
-      const do_profile $ bench_arg $ variant_arg ~pos:1 $ scale $ optimize
-      $ json_out $ top)
-
 let lint_cmd =
   let subject =
     Arg.(
@@ -638,7 +637,7 @@ let lint_cmd =
   in
   let local =
     Arg.(
-      value & opt int Gpu_tv.Simrel.default_local_items
+      value & opt count_conv Gpu_tv.Simrel.default_local_items
       & info [ "local" ] ~docv:"N"
           ~doc:
             "Flat work-group size of the validator's synthetic launch (small \
@@ -648,7 +647,7 @@ let lint_cmd =
   in
   let max_exp =
     Arg.(
-      value & opt int Harness.Lint.default_max_experiments
+      value & opt count_conv Harness.Lint.default_max_experiments
       & info [ "max-exp" ] ~docv:"N"
           ~doc:"Fault-injection experiments sampled per target")
   in
@@ -736,8 +735,12 @@ let runfile_cmd =
   let variant =
     Arg.(value & opt variant_conv T.Original & info [ "variant" ] ~docv:"VARIANT")
   in
-  let global = Arg.(required & opt (some int) None & info [ "global" ] ~docv:"N") in
-  let local = Arg.(required & opt (some int) None & info [ "local" ] ~docv:"N") in
+  let global =
+    Arg.(required & opt (some count_conv) None & info [ "global" ] ~docv:"N")
+  in
+  let local =
+    Arg.(required & opt (some count_conv) None & info [ "local" ] ~docv:"N")
+  in
   let args =
     Arg.(value & opt_all runfile_arg_conv [] & info [ "arg" ] ~docv:"SPEC")
   in
@@ -756,8 +759,8 @@ let () =
   let code =
     Cmd.eval
       (Cmd.group info
-         [ list_cmd; dump_cmd; run_cmd; trace_cmd; profile_cmd; inject_cmd;
-           lint_cmd; perfdiff_cmd; exp_cmd; runfile_cmd ])
+         [ list_cmd; dump_cmd; run_cmd; inject_cmd; lint_cmd; perfdiff_cmd;
+           exp_cmd; runfile_cmd ])
   in
   (* Uniform usage-error code: cmdliner reports unknown subcommands and bad
      arguments (with usage) as 124/125; fold both onto the conventional 2

@@ -12,9 +12,10 @@ let window = 2_000
 
 let trace variant name =
   let bench = Kernels.Registry.find "BO" in
-  let s = Harness.Run.run ~window_cycles:window bench variant in
+  let cfg = { Gpu_sim.Config.default with window_cycles = window } in
+  let s = Harness.Run.run ~cfg bench variant in
   let rep =
-    P.report ~cfg:Gpu_sim.Config.default ~windows:s.windows
+    P.report ~cfg ~windows:s.windows
       ~fallback:s.counters ()
   in
   Printf.printf "\n%s: %d cycles, avg %.1f W, peak %.1f W\n" name s.cycles

@@ -30,14 +30,6 @@ module Regpressure = Gpu_ir.Regpressure
 module Uniformity = Gpu_ir.Uniformity
 module F32 = Gpu_ir.F32
 
-(* Scheduler-event log ("gpu.device" source): dispatches, retirements,
-   barrier releases, fault injections and detections, at debug level.
-   Enable with [Logs.Src.set_level log_src (Some Logs.Debug)] or the
-   [rmtgpu -v] flag. *)
-let log_src = Logs.Src.create "gpu.device" ~doc:"GPU device scheduler events"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 type buffer = { addr : int; size : int }
 type arg = A_buf of buffer | A_i32 of int | A_f32 of float
 
@@ -83,6 +75,8 @@ let set_san dev s = dev.san <- s
 let align_up v a = (v + a - 1) / a * a
 
 let alloc dev bytes =
+  if bytes < 0 then
+    invalid_arg (Printf.sprintf "Device.alloc: negative size %d" bytes);
   let addr = align_up dev.alloc_ptr 256 in
   if addr + bytes > Gmem.size dev.data then
     failwith "Device.alloc: out of device memory";
@@ -181,7 +175,6 @@ type launch_opts = {
       (** replace the estimated resource usage (the paper's "artificially
           inflate the resource usage" component-analysis experiment) *)
   max_cycles : int option;
-  window_cycles : int option;
   inject : inject_plan option;
   verify_kernel : bool;
   trace : Gpu_trace.Sink.t option;  (** observers, see {!Probe} *)
@@ -197,7 +190,6 @@ let default_opts =
   {
     usage_override = None;
     max_cycles = None;
-    window_cycles = None;
     inject = None;
     verify_kernel = true;
     trace = None;
@@ -264,9 +256,7 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
   let waves_per_group = Config.waves_per_group cfg group_items in
   let total_groups = Geom.total_groups nd in
   let max_cycles = Option.value opts.max_cycles ~default:cfg.max_cycles in
-  let window_cycles =
-    Option.value opts.window_cycles ~default:cfg.window_cycles
-  in
+  let window_cycles = cfg.window_cycles in
   let cus =
     Array.init cfg.n_cus (fun cu_id ->
         {
@@ -475,9 +465,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
           (match probe with
           | Some p -> p.dispatch ~at:now ~cu:cu.cu_id ~group:gi ~waves:waves_per_group
           | None -> ());
-          Log.debug (fun m ->
-              m "cycle %d: dispatch group %d (%d waves) to CU %d" now gi
-                waves_per_group cu.cu_id);
           rebuild_sched cu;
           cu.wake <- now;
           true
@@ -525,9 +512,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
       (match probe with
       | Some p -> p.retire ~at:now ~cu:cu.cu_id ~group:s.g.g_index
       | None -> ());
-      Log.debug (fun m ->
-          m "group %d completed on CU %d (%d/%d)" s.g.g_index cu.cu_id
-            !groups_completed total_groups);
       rebuild_sched cu
     end
     end
@@ -733,9 +717,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
             if !fired <> 0 then begin
               detected_at := Some now;
               (match probe with Some p -> p.trap ~at:now w | None -> ());
-              Log.info (fun m ->
-                  m "cycle %d: output comparison trapped (CU %d, group %d, wave %d)"
-                    now cu.cu_id s.g.g_index w.Wave.wid);
               raise Trap_detected
             end;
             Wave.consume w;
@@ -861,7 +842,6 @@ let launch ?(opts = default_opts) dev (kernel : kernel) ~(nd : Geom.ndrange)
                  inject_applied := true;
                  injected_at := Some now;
                  (match probe with Some p -> p.inject ~at:now flip | None -> ());
-                 Log.info (fun m -> m "cycle %d: fault injected" now);
                  inject_pending := None
              | None -> ())
          | _ -> ());

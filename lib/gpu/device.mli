@@ -15,10 +15,6 @@
     the {!set_san} shadow) become one {!Probe.t}; without any, the issue
     loop does no observer work, and none perturbs timing or outputs. *)
 
-val log_src : Logs.src
-(** Scheduler-event log source ("gpu.device"): dispatches, retirements,
-    detections, injections at debug/info level. *)
-
 (** {1 Device and buffers} *)
 
 type t
@@ -37,7 +33,8 @@ val set_san : t -> Gpu_san.Shadow.t option -> unit
 type buffer = { addr : int; size : int }
 
 val alloc : t -> int -> buffer
-(** Bump-allocate [bytes] of device memory (256-byte aligned). *)
+(** Bump-allocate [bytes] of device memory (256-byte aligned).
+    @raise Invalid_argument if [bytes] is negative. *)
 
 val free_all : t -> unit
 (** Reset the bump allocator (invalidates existing buffers). *)
@@ -91,7 +88,6 @@ type launch_opts = {
       (** replace the estimated resource usage (the paper's resource-
           inflation component-analysis experiment) *)
   max_cycles : int option;  (** watchdog override *)
-  window_cycles : int option;  (** power-sampling window override *)
   inject : inject_plan option;
   verify_kernel : bool;  (** run {!Gpu_ir.Verify.check} first (default) *)
   trace : Gpu_trace.Sink.t option;

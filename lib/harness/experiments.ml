@@ -3,15 +3,14 @@
 
     Results are cached per run, keyed by exactly the run-affecting
     parameters of {!Run.run} — (benchmark, variant, device config, scale,
-    optimize, usage override, power window) — within a context, so that
-    experiments sharing runs (figures 2/3/4, 6/7, the wave-64 and greedy
-    cells of the extension studies) do not re-simulate. Runs execute on
-    the context's {!Pool} of worker domains: each experiment first
-    {e plans} its whole grid (submitting every run it will need), then
-    renders its report by awaiting the cached futures in a fixed order,
-    so the report text is byte-for-byte identical at any [-j]. Progress
-    goes to stderr (and may interleave under [-j]); the report text is
-    the return value. *)
+    optimize, usage override) — within a context, so that experiments
+    sharing runs (figures 2/3/4, 6/7, the wave-64 and greedy cells of the
+    extension studies) do not re-simulate. Runs execute on the context's
+    {!Pool} of worker domains: each experiment first {e plans} its whole
+    grid (submitting every run it will need), then renders its report by
+    awaiting the cached futures in a fixed order, so the report text is
+    byte-for-byte identical at any [-j]. Progress goes to stderr (and may
+    interleave under [-j]); the report text is the return value. *)
 
 module T = Rmt_core.Transform
 module Counters = Gpu_sim.Counters
@@ -28,7 +27,6 @@ type run_key = {
   k_scale : int;
   k_optimize : bool;
   k_usage : Gpu_ir.Regpressure.usage option;
-  k_window : int option;
 }
 
 type ctx = {
@@ -74,9 +72,6 @@ let key_label ctx (k : run_key) =
          ])
     @ (if k.k_scale <> 1 then [ Printf.sprintf "x%d" k.k_scale ] else [])
     @ (if k.k_optimize then [ "opt" ] else [])
-    @ (match k.k_window with
-      | Some w -> [ Printf.sprintf "w%d" w ]
-      | None -> [])
     @
     match k.k_usage with
     | Some u -> [ Printf.sprintf "inflated-v%d-s%d-l%d" u.vgprs u.sgprs u.lds ]
@@ -87,7 +82,7 @@ let key_label ctx (k : run_key) =
    cache nor its lock (workers never submit work), so this cannot
    deadlock even when [jobs = 1] runs the task inline. *)
 let find_or_submit ctx ?(cfg = ctx.cfg) ?(scale = 1) ?(optimize = false)
-    ?usage_override ?window_cycles (bench : Kernels.Bench.t) variant :
+    ?usage_override (bench : Kernels.Bench.t) variant :
     Run.summary Pool.future =
   let key =
     {
@@ -97,7 +92,6 @@ let find_or_submit ctx ?(cfg = ctx.cfg) ?(scale = 1) ?(optimize = false)
       k_scale = scale;
       k_optimize = optimize;
       k_usage = usage_override;
-      k_window = window_cycles;
     }
   in
   Mutex.lock ctx.cache_lock;
@@ -111,8 +105,7 @@ let find_or_submit ctx ?(cfg = ctx.cfg) ?(scale = 1) ?(optimize = false)
       let fut =
         Pool.submit ctx.pool (fun () ->
             let s =
-              Run.run ~cfg ~scale ~optimize ?usage_override ?window_cycles bench
-                variant
+              Run.run ~cfg ~scale ~optimize ?usage_override bench variant
             in
             (if not s.verified then
                progress "  WARNING: %s failed verification (%s)" label
@@ -123,17 +116,15 @@ let find_or_submit ctx ?(cfg = ctx.cfg) ?(scale = 1) ?(optimize = false)
       Mutex.unlock ctx.cache_lock;
       fut
 
-let get ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
-    (bench : Kernels.Bench.t) variant : Run.summary =
+let get ctx ?cfg ?scale ?optimize ?usage_override (bench : Kernels.Bench.t)
+    variant : Run.summary =
   Pool.await
-    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
-       bench variant)
+    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override bench variant)
 
-let prefetch ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
+let prefetch ctx ?cfg ?scale ?optimize ?usage_override
     (bench : Kernels.Bench.t) variant : unit =
   ignore
-    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override ?window_cycles
-       bench variant)
+    (find_or_submit ctx ?cfg ?scale ?optimize ?usage_override bench variant)
 
 (* ---- observability hooks for the metrics-export layer ---- *)
 
@@ -391,11 +382,12 @@ let fig5_window = 2_000
 let fig5_kernels = [ ("BO", 1); ("BlkSch", 8); ("FW", 1) ]
 
 let fig5 ctx =
+  let cfg = { ctx.cfg with Gpu_sim.Config.window_cycles = fig5_window } in
   List.iter
     (fun (id, scale) ->
       let b = Kernels.Registry.find id in
       List.iter
-        (fun v -> prefetch ctx ~scale ~window_cycles:fig5_window b v)
+        (fun v -> prefetch ctx ~cfg ~scale b v)
         [ T.Original; T.intra_plus_lds; T.intra_minus_lds ])
     fig5_kernels;
   let buf = Buffer.create 1024 in
@@ -407,9 +399,9 @@ let fig5 ctx =
       let b = Kernels.Registry.find id in
       List.iter
         (fun (v, name) ->
-          let s = get ctx ~scale ~window_cycles:fig5_window b v in
+          let s = get ctx ~cfg ~scale b v in
           let rep =
-            Gpu_power.Power_model.report ~cfg:ctx.cfg ~windows:s.Run.windows
+            Gpu_power.Power_model.report ~cfg ~windows:s.Run.windows
               ~fallback:s.Run.counters ()
           in
           Report.row buf "%-8s %-10s %10.1f W %8.1f W" b.id name rep.average_w

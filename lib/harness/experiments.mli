@@ -3,12 +3,11 @@
     regenerated content as text.
 
     Runs are cached per {!Run.run} parameter set (benchmark, variant,
-    device config, scale, optimize, usage override, power window) and
-    executed on the context's {!Pool} of worker domains: each experiment
-    plans its whole run grid up front, then renders by awaiting the
-    cached results in a fixed order. Report text is therefore
-    byte-identical at any worker count; only stderr progress lines may
-    interleave. *)
+    device config, scale, optimize, usage override) and executed on the
+    context's {!Pool} of worker domains: each experiment plans its whole
+    run grid up front, then renders by awaiting the cached results in a
+    fixed order. Report text is therefore byte-identical at any worker
+    count; only stderr progress lines may interleave. *)
 
 type ctx
 
@@ -36,7 +35,7 @@ val pool_stats_line : ctx -> string
 
 val cached_summaries : ctx -> (string * Run.summary) list
 (** Completed runs currently in the cache, labelled
-    ["bench/variant[/cfg-D][/xS][/opt][/wW][/inflated-vV-sS-lL]"] (each
+    ["bench/variant[/cfg-D][/xS][/opt][/inflated-vV-sS-lL]"] (each
     component present only off its default; [D] digests a device config
     other than the context's) and sorted by label. Pending and failed
     runs are skipped (never blocks). *)
@@ -47,7 +46,6 @@ val get :
   ?scale:int ->
   ?optimize:bool ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
-  ?window_cycles:int ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   Run.summary
@@ -62,7 +60,6 @@ val prefetch :
   ?scale:int ->
   ?optimize:bool ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
-  ?window_cycles:int ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   unit

@@ -44,15 +44,17 @@ let transformed_kernel ?(optimize = false) (bench : Kernels.Bench.t) variant
   let k = Transform.apply variant ~local_items:(Gpu_sim.Geom.group_items nd) k in
   if optimize then Gpu_ir.Opt.optimize k else k
 
-(** {!run}, with [profile] given the transformed kernel so it can size
-    the collector. Every pass launches with the same observers, which the
+(** Run [bench] under [variant] with any combination of observers
+    attached. Every pass launches with the same observers, which the
     device folds into one probe; [inject] is interpreted against
-    cumulative cycles. Returns the summary and the transformed kernel the
-    device ran. *)
-let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
-    ?window_cycles ?max_cycles ?usage_override ?inject ?trace
-    ?(profile = fun _ -> None) ?provenance ?san (bench : Kernels.Bench.t)
-    (variant : Transform.variant) : summary * Gpu_ir.Types.kernel =
+    cumulative cycles. [profile] sizes a fresh per-site collector for
+    the transformed kernel. Returns the summary, the transformed kernel
+    the device ran (the listing site ids index) and the collector when
+    [profile] was set. *)
+let observe ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
+    ?max_cycles ?usage_override ?inject ?trace ?(profile = false) ?provenance
+    ?san (bench : Kernels.Bench.t) (variant : Transform.variant) :
+    summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t option =
   let dev = Device.create cfg in
   Device.set_san dev san;
   let prep = bench.prepare dev ~scale in
@@ -62,7 +64,11 @@ let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
     | [] -> invalid_arg "benchmark produced no launch steps"
   in
   let kernel = transformed_kernel ~optimize bench variant ~nd:nd0 in
-  let profile = profile kernel in
+  let profile =
+    if profile then
+      Some (Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel))
+    else None
+  in
   let extras = Transform.make_extras variant dev ~nd:nd0 in
   let total = Counters.create () in
   let windows = ref [] in
@@ -92,7 +98,6 @@ let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
            {
              Device.default_opts with
              Device.usage_override;
-             window_cycles;
              max_cycles;
              inject = step_inject;
              trace = step_trace;
@@ -142,44 +147,21 @@ let execute ?(cfg = Gpu_sim.Config.default) ?(scale = 1) ?(optimize = false)
       inject_applied = !injected;
       detection_latency = !latency;
     },
-    kernel )
+    kernel,
+    profile )
 
-let run ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
-    ?inject ?trace ?profile ?provenance ?san bench variant =
-  fst
-    (execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ?usage_override
-       ?inject ?trace ~profile:(fun _ -> profile) ?provenance ?san bench
-       variant)
-
-(** Run [bench] under [variant] with a per-site profile collector sized
-    for the transformed kernel. Returns the summary, the transformed
-    kernel the device executed (the listing the site ids index) and the
-    filled collector — everything the annotated-profile renderer needs. *)
-let run_profiled ?cfg ?scale ?optimize ?window_cycles ?max_cycles
-    (bench : Kernels.Bench.t) (variant : Transform.variant) :
-    summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t =
-  let collector = ref None in
-  let profile kernel =
-    let c = Gpu_prof.Collector.create ~nsites:(Gpu_ir.Site.count kernel) in
-    collector := Some c;
-    Some c
+let run ?cfg ?scale ?optimize ?max_cycles ?usage_override ?inject ?trace
+    ?provenance ?san bench variant =
+  let s, _, _ =
+    observe ?cfg ?scale ?optimize ?max_cycles ?usage_override ?inject ?trace
+      ?provenance ?san bench variant
   in
-  let s, kernel =
-    execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ~profile bench
-      variant
-  in
-  (s, kernel, Option.get !collector)
+  s
 
-(** Run [bench] under [variant] with a fresh sanitizer shadow. Returns
-    the summary, the transformed kernel (for resolving finding site ids
-    to instructions) and the shadow holding any findings. *)
-let run_sanitized ?cfg ?scale ?optimize ?window_cycles ?max_cycles
-    (bench : Kernels.Bench.t) (variant : Transform.variant) :
-    summary * Gpu_ir.Types.kernel * Gpu_san.Shadow.t =
+let run_sanitized ?cfg ?scale ?optimize ?max_cycles bench variant =
   let shadow = Gpu_san.Shadow.create () in
-  let s, kernel =
-    execute ?cfg ?scale ?optimize ?window_cycles ?max_cycles ~san:shadow bench
-      variant
+  let s, kernel, _ =
+    observe ?cfg ?scale ?optimize ?max_cycles ~san:shadow bench variant
   in
   (s, kernel, shadow)
 

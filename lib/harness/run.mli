@@ -30,51 +30,57 @@ val transformed_kernel :
 (** Build and transform the benchmark's kernel; [optimize] additionally
     runs the {!Gpu_ir.Opt} pipeline (paper Sec. 6.6's register lever). *)
 
-val run :
+val observe :
   ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?optimize:bool ->
-  ?window_cycles:int ->
   ?max_cycles:int ->
   ?usage_override:Gpu_ir.Regpressure.usage ->
   ?inject:Gpu_sim.Device.inject_plan ->
   ?trace:Gpu_trace.Sink.t ->
-  ?profile:Gpu_prof.Collector.t ->
+  ?profile:bool ->
+  ?provenance:Gpu_prof.Provenance.t ->
+  ?san:Gpu_san.Shadow.t ->
+  Kernels.Bench.t ->
+  Rmt_core.Transform.variant ->
+  summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t option
+(** The one observed launch: run the benchmark with any combination of
+    observers, which compose without perturbing one another or the run.
+    Returns the summary, the transformed kernel the device ran (site ids
+    and finding sites index it) and, when [profile] is set, a per-site
+    collector sized for that kernel and charged by every pass.
+
+    [trace] receives the scheduler events of every launch, spliced into
+    one stream by offsetting each pass by the cycles already simulated.
+    [provenance] is filled by the pass in which [inject] lands. [san] is
+    attached to the device before host preparation, so the shadow
+    observes every allocation and host write. No observer perturbs
+    timing, counters or outputs. *)
+
+val run :
+  ?cfg:Gpu_sim.Config.t ->
+  ?scale:int ->
+  ?optimize:bool ->
+  ?max_cycles:int ->
+  ?usage_override:Gpu_ir.Regpressure.usage ->
+  ?inject:Gpu_sim.Device.inject_plan ->
+  ?trace:Gpu_trace.Sink.t ->
   ?provenance:Gpu_prof.Provenance.t ->
   ?san:Gpu_san.Shadow.t ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   summary
-(** [trace] receives the scheduler events of every launch, spliced into
-    one stream by offsetting each pass by the cycles already simulated.
-    [profile] must be sized for this benchmark's transformed kernel
-    (every pass charges the same collector). [provenance] is filled by
-    the pass in which [inject] lands. [san] is attached to the device
-    before host preparation, so the shadow observes every allocation and
-    host write; it never perturbs timing, counters or outputs. *)
-
-val run_profiled :
-  ?cfg:Gpu_sim.Config.t ->
-  ?scale:int ->
-  ?optimize:bool ->
-  ?window_cycles:int ->
-  ?max_cycles:int ->
-  Kernels.Bench.t ->
-  Rmt_core.Transform.variant ->
-  summary * Gpu_ir.Types.kernel * Gpu_prof.Collector.t
-(** Run with a freshly sized per-site collector; returns the summary,
-    the transformed kernel the site ids index, and the collector. *)
+(** {!observe}, keeping only the summary. *)
 
 val run_sanitized :
   ?cfg:Gpu_sim.Config.t ->
   ?scale:int ->
   ?optimize:bool ->
-  ?window_cycles:int ->
   ?max_cycles:int ->
   Kernels.Bench.t ->
   Rmt_core.Transform.variant ->
   summary * Gpu_ir.Types.kernel * Gpu_san.Shadow.t
-(** Run with a fresh sanitizer shadow; returns the summary, the
+(** {!observe} with a fresh sanitizer shadow; returns the summary, the
     transformed kernel (to resolve finding sites) and the shadow. *)
 
 val run_naive_duplication :

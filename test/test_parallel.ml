@@ -83,14 +83,16 @@ let pool_suite =
 (* Regression: the old cache key was (bench, variant, tag, scale), so a
    windowed fig5-style run could collide with a fig2 run of the same
    bench/variant whenever callers forgot a distinguishing tag. The key
-   must fingerprint window_cycles and usage_override themselves. *)
+   must fingerprint the config's window_cycles and usage_override
+   themselves. *)
 let test_cache_key_window () =
   let ctx = Harness.Experiments.create_ctx ~jobs:1 () in
   let b = Kernels.Registry.find "PS" in
+  let windowed = { Gpu_sim.Config.default with window_cycles = 500 } in
   let s1 = Harness.Experiments.get ctx b T.Original in
-  let s2 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
+  let s2 = Harness.Experiments.get ctx ~cfg:windowed b T.Original in
   let s3 = Harness.Experiments.get ctx b T.Original in
-  let s4 = Harness.Experiments.get ctx ~window_cycles:500 b T.Original in
+  let s4 = Harness.Experiments.get ctx ~cfg:windowed b T.Original in
   Harness.Experiments.shutdown ctx;
   check Alcotest.bool "windowed run is a distinct summary" true (s1 != s2);
   check Alcotest.bool "un-windowed key still cached" true (s1 == s3);
@@ -157,7 +159,7 @@ let test_cache_labels () =
   let get = Harness.Experiments.get ctx in
   let s = get b T.Original in
   let u = { s.Harness.Run.usage with Gpu_ir.Regpressure.vgprs = 200 } in
-  ignore (get ~window_cycles:500 b T.Original);
+  ignore (get ~cfg:{ Gpu_sim.Config.default with window_cycles = 500 } b T.Original);
   ignore (get ~usage_override:u b T.Original);
   ignore (get ~usage_override:{ u with vgprs = 240 } b T.Original);
   ignore
@@ -172,7 +174,10 @@ let test_cache_labels () =
     (List.length (List.sort_uniq compare labels));
   List.iter
     (fun l -> check Alcotest.bool ("label " ^ l) true (List.mem l labels))
-    [ "PS/Original"; "PS/Original/w500"; "PS/Original/opt" ]
+    [ "PS/Original"; "PS/Original/opt" ];
+  check Alcotest.int "windowed, round-robin, wave-32: one config digest each" 3
+    (List.length
+       (List.filter (String.starts_with ~prefix:"PS/Original/cfg-") labels))
 
 let cache_suite =
   [

@@ -42,7 +42,11 @@ let test_fallback_single_window () =
 
 let test_power_in_band_for_real_kernel () =
   let bench = Kernels.Registry.find "R" in
-  let s = Harness.Run.run ~window_cycles:2000 bench Rmt_core.Transform.Original in
+  let s =
+    Harness.Run.run
+      ~cfg:{ Gpu_sim.Config.default with window_cycles = 2000 }
+      bench Rmt_core.Transform.Original
+  in
   let rep = P.report ~cfg ~windows:s.Harness.Run.windows ~fallback:s.Harness.Run.counters () in
   check Alcotest.bool
     (Printf.sprintf "average %.1f W within the paper's 50-90 W band" rep.P.average_w)

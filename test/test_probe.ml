@@ -45,8 +45,9 @@ let test_collectors_pinned () =
       List.iter2
         (fun variant digest ->
           let _s, _k, c =
-            Harness.Run.run_profiled (Kernels.Registry.find id) variant
+            Harness.Run.observe ~profile:true (Kernels.Registry.find id) variant
           in
+          let c = Option.get c in
           let b = Buffer.create 4096 in
           Pin.add_collector b c;
           check Alcotest.string
@@ -107,16 +108,14 @@ let test_observers_compose () =
     Pin.add_summary b s;
     Buffer.contents b
   in
-  let _, _, sized = Harness.Run.run_profiled bench variant in
-  let collector () = Gpu_prof.Collector.create ~nsites:sized.nsites in
   let observe ~trace ~profile ~provenance ~san =
     let tb = Buffer.create (1 lsl 20) in
-    let c = collector () and p = Gpu_prof.Provenance.create () in
+    let p = Gpu_prof.Provenance.create () in
     let sh = Shadow.create () in
-    let s =
-      Harness.Run.run ~inject
+    let s, _, c =
+      Harness.Run.observe ~inject
         ?trace:(if trace then Some (Pin.buffer_sink tb) else None)
-        ?profile:(if profile then Some c else None)
+        ~profile
         ?provenance:(if provenance then Some p else None)
         ?san:(if san then Some sh else None)
         bench variant
@@ -124,7 +123,7 @@ let test_observers_compose () =
     check Alcotest.string "detected" "detected"
       (Harness.Run.outcome_name s.Harness.Run.outcome);
     let cb = Buffer.create 4096 and pb = Buffer.create 256 in
-    Pin.add_collector cb c;
+    Option.iter (Pin.add_collector cb) c;
     Pin.add_provenance pb p;
     ( summary s,
       Buffer.contents tb,
@@ -172,7 +171,7 @@ let test_faulting_consumer_recorded () =
   match p.first_use with
   | None -> Alcotest.fail ("flip reported unconsumed: " ^ Gpu_prof.Provenance.to_string p)
   | Some u -> (
-      let _, kernel, _ = Harness.Run.run_profiled bench variant in
+      let _, kernel, _ = Harness.Run.observe bench variant in
       match (Gpu_ir.Site.insts kernel).(u.u_site) with
       | Gpu_ir.Types.Load (Gpu_ir.Types.Local, _, _) -> ()
       | i ->

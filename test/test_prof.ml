@@ -78,8 +78,8 @@ let test_reconciles_across_variants_and_jobs () =
     List.concat_map (fun b -> List.map (fun v -> (b, v)) all_variants) benches
   in
   let job (bench, v) =
-    let s, _k, c = Harness.Run.run_profiled bench v in
-    (Printf.sprintf "%s/%s" bench.Kernels.Bench.id (T.name v), s, c)
+    let s, _k, c = Harness.Run.observe ~profile:true bench v in
+    (Printf.sprintf "%s/%s" bench.Kernels.Bench.id (T.name v), s, Option.get c)
   in
   let run_at jobs =
     let p = Harness.Pool.create ~jobs () in
@@ -179,7 +179,8 @@ let test_site_numbering_deterministic () =
 
 let test_report_agrees_with_collector () =
   let bench = Kernels.Registry.find "PS" in
-  let _s, k, c = Harness.Run.run_profiled bench T.intra_plus_lds in
+  let _s, k, c = Harness.Run.observe ~profile:true bench T.intra_plus_lds in
+  let c = Option.get c in
   let listing = Gpu_prof.Report.annotated_listing k c in
   (* one body line per site, plus header and structure lines *)
   check Alcotest.bool "listing has at least one line per site" true

@@ -427,16 +427,27 @@ let test_windows_emitted () =
       Builder.set b acc (Builder.fadd b (Builder.get acc) (Builder.immf 1.0)));
   Builder.gstore_elem b out gid (Builder.f32_to_s32 b (Builder.get acc));
   let k = Builder.finish b in
-  let dev = Sim.Device.create Sim.Config.small in
+  let dev = Sim.Device.create { Sim.Config.small with window_cycles = 1000 } in
   let buf = Sim.Device.alloc dev (64 * 4) in
-  let opts = { Sim.Device.default_opts with Sim.Device.window_cycles = Some 1000 } in
   let r =
-    Sim.Device.launch ~opts dev k ~nd:(Sim.Geom.make_ndrange 64 64)
+    Sim.Device.launch dev k ~nd:(Sim.Geom.make_ndrange 64 64)
       ~args:[ Sim.Device.A_buf buf ]
   in
   check Alcotest.bool "several power windows" true
     (Array.length r.Sim.Device.windows >= 2);
   check Alcotest.int "loop result" 2000 (Sim.Device.read_i32 dev buf 0)
+
+(* A negative size would move the bump pointer backwards, so the next
+   buffer would overlap this one. *)
+let test_alloc_rejects_negative_size () =
+  let dev = Sim.Device.create Sim.Config.small in
+  let a = Sim.Device.alloc dev 16 in
+  Alcotest.check_raises "negative size"
+    (Invalid_argument "Device.alloc: negative size -4") (fun () ->
+      ignore (Sim.Device.alloc dev (-4)));
+  let b = Sim.Device.alloc dev 16 in
+  check Alcotest.bool "next buffer past the first" true
+    (b.Sim.Device.addr >= a.Sim.Device.addr + a.Sim.Device.size)
 
 let suite =
   [
@@ -469,6 +480,7 @@ let suite =
     tc "counters: sanity" `Quick test_counters_sanity;
     tc "counters: memory-bound shape" `Quick test_memory_bound_counter_shape;
     tc "counters: power windows" `Quick test_windows_emitted;
+    tc "alloc: negative size rejected" `Quick test_alloc_rejects_negative_size;
   ]
 
 (* ------------------------------------------------------------------ *)
